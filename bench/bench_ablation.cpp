@@ -190,7 +190,7 @@ int main(int argc, char** argv) {
                      std::to_string(reconfigs)});
     }
     std::cout << "(d) crediting banked compute progress when refreshing the\n"
-                 "    current configuration's criterion (see EXPERIMENTS.md)\n"
+                 "    current configuration's criterion (see DESIGN.md §2.1)\n"
               << table.str();
   }
   return 0;

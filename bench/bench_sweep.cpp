@@ -1,13 +1,11 @@
 // Trial-major sweep bench: shared materialized realizations vs per-heuristic
-// live generation (DESIGN.md §9), plus the lockstep trial-batch executor
-// (DESIGN.md §13).
+// live generation (DESIGN.md §9).
 //
-// Runs the reduced sweep over a representative heuristic set FOUR ways
+// Runs the reduced sweep over a representative heuristic set THREE ways
 // with the same seeds — realization sharing on (the default budget),
 // sharing disabled (realization_budget = 0, i.e. every heuristic run
-// regenerates its availability stream), sharing on with the obs metrics
-// layer enabled, and sharing on with `trial_batch` lockstep replay —
-// verifies all outcomes are bit-identical via an order-independent digest
+// regenerates its availability stream) and sharing on with the obs metrics
+// layer enabled — plus a warm-session second pass, and verifies all outcomes are bit-identical via an order-independent digest
 // over every per-trial counter, and writes wall times, rows/sec, the
 // sharing speedup and the obs overhead ratio to BENCH_sweep.json. The CI
 // Release job runs this and uploads the artifact; the committed
@@ -316,15 +314,6 @@ int main(int argc, char** argv) {
   api::ExperimentSpec live = spec;
   live.options.realization_budget = 0;  // per-heuristic live generation
 
-  // Fourth arm: the lockstep trial-batch executor (§13) over the same
-  // shared-realization config. The width clamps to the spec's trial count,
-  // so with the default reduced sweep (trials = 2) this measures B = 2;
-  // pass --trials to widen the batch (which also widens the other arms'
-  // workload — compare like against like).
-  api::ExperimentSpec batched = spec;
-  batched.options.trial_batch =
-      static_cast<int>(std::max(2L, cli.get_long("batch", 8)));
-
   // Interleaved repetitions, best-of per mode: wall times on shared CI
   // runners jitter by tens of percent, and min-of-N against min-of-N is the
   // standard way to compare two deterministic computations under that noise.
@@ -353,13 +342,11 @@ int main(int argc, char** argv) {
   SweepTiming live_t;
   SweepTiming shared_t;
   SweepTiming obs_t;
-  SweepTiming batch_t;
   WarmPassTiming warm_t;
   ShardedTiming sharded_t;
   for (long r = 0; r < reps; ++r) {
     const SweepTiming l = run_sweep(live);
     const SweepTiming s = run_sweep(spec);
-    const SweepTiming b = run_sweep(batched);
     const WarmPassTiming w = run_warm_pass(spec);
     if (shards > 0) {
       const ShardedTiming sh = run_sharded(spec, shards, shard_tmp, r);
@@ -379,7 +366,7 @@ int main(int argc, char** argv) {
     }
     // The shared sweep with obs metric updates enabled — the
     // instrumented-path overhead measurement. Interleaved with the other
-    // arms so all four see the same machine noise.
+    // arms so all of them see the same machine noise.
     obs::configure({.enabled = true});
     const SweepTiming o = run_sweep(spec);
     obs::configure({});
@@ -387,23 +374,19 @@ int main(int argc, char** argv) {
       live_t = l;
       shared_t = s;
       obs_t = o;
-      batch_t = b;
       warm_t = w;
     } else {
       if (l.digest != live_t.digest || s.digest != shared_t.digest ||
-          o.digest != obs_t.digest || b.digest != batch_t.digest ||
-          w.digest != warm_t.digest) {
+          o.digest != obs_t.digest || w.digest != warm_t.digest) {
         std::fprintf(stderr, "bench_sweep: nondeterministic repetition digest\n");
         return 2;
       }
       live_t.seconds = std::min(live_t.seconds, l.seconds);
       shared_t.seconds = std::min(shared_t.seconds, s.seconds);
       obs_t.seconds = std::min(obs_t.seconds, o.seconds);
-      batch_t.seconds = std::min(batch_t.seconds, b.seconds);
       live_t.worst_seconds = std::max(live_t.worst_seconds, l.seconds);
       shared_t.worst_seconds = std::max(shared_t.worst_seconds, s.seconds);
       obs_t.worst_seconds = std::max(obs_t.worst_seconds, o.seconds);
-      batch_t.worst_seconds = std::max(batch_t.worst_seconds, b.seconds);
       warm_t.first_seconds = std::min(warm_t.first_seconds, w.first_seconds);
       warm_t.warm_seconds = std::min(warm_t.warm_seconds, w.warm_seconds);
       warm_t.worst_warm_seconds =
@@ -412,12 +395,9 @@ int main(int argc, char** argv) {
     }
   }
 
-  // The batched arm is the exactness gate DESIGN.md §13 promises: lockstep
-  // replay must reproduce the sequential digest bit for bit.
   const bool identical =
       shared_t.digest == live_t.digest && shared_t.rows == live_t.rows &&
       obs_t.digest == shared_t.digest && obs_t.rows == shared_t.rows &&
-      batch_t.digest == shared_t.digest && batch_t.rows == shared_t.rows &&
       warm_t.digest == shared_t.digest && warm_t.rows == shared_t.rows &&
       warm_t.passes_identical;
   const double shared_rate = static_cast<double>(shared_t.rows) / shared_t.seconds;
@@ -442,11 +422,7 @@ int main(int argc, char** argv) {
   const double obs_overhead_raw = obs_t.seconds / shared_t.seconds - 1.0;
   const double obs_overhead = std::max(0.0, obs_overhead_raw);
   const double noise_floor =
-      std::max(std::max(rep_spread(shared_t), rep_spread(live_t)),
-               std::max(rep_spread(obs_t), rep_spread(batch_t)));
-
-  const double batch_rate = static_cast<double>(batch_t.rows) / batch_t.seconds;
-  const double batch_speedup = shared_t.seconds / batch_t.seconds;
+      std::max({rep_spread(shared_t), rep_spread(live_t), rep_spread(obs_t)});
 
   // Sharded arm: speedup over the SAME single-threaded shared arm, and
   // efficiency per shard (1.0 = perfect linear scaling).
@@ -489,10 +465,6 @@ int main(int argc, char** argv) {
       {"live",
        json::Object{{"seconds", live_t.seconds}, {"rows_per_sec", live_rate}}},
       {"speedup", speedup},
-      {"batched", json::Object{{"seconds", batch_t.seconds},
-                               {"rows_per_sec", batch_rate},
-                               {"trial_batch", batched.options.trial_batch},
-                               {"speedup_vs_shared", batch_speedup}}},
       {"obs", json::Object{{"seconds", obs_t.seconds},
                            {"rows_per_sec", obs_rate},
                            {"overhead", obs_overhead},
@@ -545,11 +517,6 @@ int main(int argc, char** argv) {
                "(%.0f rows/s)  speedup x%.2f  %s\n",
                shared_t.rows, shared_t.seconds, shared_rate, live_t.seconds,
                live_rate, speedup, identical ? "identical" : "MISMATCH");
-  std::fprintf(stderr,
-               "bench_sweep: batched (B=%d) %.3fs (%.0f rows/s)  x%.2f vs "
-               "shared\n",
-               batched.options.trial_batch, batch_t.seconds, batch_rate,
-               batch_speedup);
   std::fprintf(stderr,
                "bench_sweep: obs enabled %.3fs (%.0f rows/s)  overhead %.2f%% "
                "(raw %+.2f%%, noise floor %.2f%%)\n",

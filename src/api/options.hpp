@@ -28,13 +28,6 @@ struct Options {
                               ///< results are bit-identical either way —
                               ///< false forces the legacy per-slot loop
                               ///< (ablation baseline)
-  int trial_batch = 1;        ///< lockstep trial-batch width (DESIGN.md §13):
-                              ///< Session::run replays this many trials of a
-                              ///< (scenario, heuristic) cell side by side
-                              ///< (sim::TrialBatch). 1 = plain sequential
-                              ///< executor; results are bit-identical for
-                              ///< every width (batch_test + bench digest
-                              ///< gate). Clamped to the spec's trial count.
 
   // --- shared availability realizations (DESIGN.md §9) ---------------------
   /// Peak bytes one materialized availability realization may occupy during
@@ -98,7 +91,6 @@ struct Options {
     e.comm_order = comm_order;
     e.avail_block = avail_block;
     e.fast_forward = fast_forward;
-    e.trial_batch = trial_batch;
     return e;
   }
 };

@@ -8,7 +8,6 @@
 #include "obs/obs.hpp"
 #include "sched/registry.hpp"
 #include "sim/engine.hpp"
-#include "sim/trial_batch.hpp"
 #include "util/thread_pool.hpp"
 
 namespace tcgrid::api {
@@ -86,37 +85,6 @@ void flush_engine_telemetry(const sim::Engine& engine) {
   m.slots_idle.inc(static_cast<std::uint64_t>(t.bulk_slots_idle));
   m.replay_jumps.inc(static_cast<std::uint64_t>(t.replay_jumps));
   m.bulk_advance_slots.merge(t.bulk_advance_slots);
-}
-
-/// Lockstep-batch instrument sites (DESIGN.md §13): rounds driven, lanes
-/// peeled to the scalar tail, and the active-width distribution. Scraped
-/// through the same registry snapshot as every other series (the serve
-/// daemon's `metrics` verb included).
-struct BatchMetrics {
-  obs::Counter rounds;
-  obs::Counter peels;
-  obs::Histogram width;
-};
-
-BatchMetrics& batch_metrics() {
-  static BatchMetrics m = [] {
-    obs::Registry& reg = obs::Registry::instance();
-    return BatchMetrics{
-        reg.counter("tcgrid_batch_rounds_total"),
-        reg.counter("tcgrid_batch_peels_total"),
-        reg.histogram("tcgrid_batch_width"),
-    };
-  }();
-  return m;
-}
-
-/// Fold one TrialBatch run's batch-level telemetry into the registry.
-void flush_batch_telemetry(const sim::RunTelemetry& t) {
-  if (!obs::enabled()) return;
-  BatchMetrics& m = batch_metrics();
-  m.rounds.inc(static_cast<std::uint64_t>(t.batch_rounds));
-  m.peels.inc(static_cast<std::uint64_t>(t.batch_peels));
-  m.width.merge(t.batch_width);
 }
 
 }  // namespace
@@ -436,13 +404,6 @@ Session::RunStats Session::run(const ExperimentSpec& spec,
                                const Progress& progress,
                                const std::atomic<bool>* stop) {
   spec.validate();
-  if (spec.options.trial_batch > 1 && spec.trials > 1) {
-    // Lockstep executor (DESIGN.md §13) — bit-identical rows, different
-    // interleaving. trials == 1 clamps the batch width to 1, for which the
-    // sequential path below IS the degenerate lockstep run.
-    return run_batched(spec, sinks, progress, stop);
-  }
-
   const std::vector<platform::ScenarioParams> scenarios = spec.scenarios();
   const std::vector<std::string>& heuristics = spec.resolved_heuristics();
   const Options& options = spec.options;
@@ -520,172 +481,6 @@ Session::RunStats Session::run(const ExperimentSpec& spec,
   stats.units_total = units;
   stats.units_done = done;
   stats.cancelled = done < units;
-  return stats;
-}
-
-Session::RunStats Session::run_batched(const ExperimentSpec& spec,
-                                       const std::vector<ResultSink*>& sinks,
-                                       const Progress& progress,
-                                       const std::atomic<bool>* stop) {
-  const std::vector<platform::ScenarioParams> scenarios = spec.scenarios();
-  const std::vector<std::string>& heuristics = spec.resolved_heuristics();
-  const Options& options = spec.options;
-  const auto avail_family = scen::availability_family(spec.scenario_space.availability);
-  const auto plat_family = scen::platform_family(spec.scenario_space.platform);
-
-  for (ResultSink* sink : sinks) sink->begin(spec, scenarios, heuristics);
-
-  std::mutex emit_mutex;
-  std::atomic<std::size_t> rows{0};
-  std::size_t done = 0;  // in (scenario, trial) sequential-unit equivalents
-
-  // Work item = one (scenario, trial-range) of up to B consecutive trials;
-  // the full heuristic list runs inside the item so the range's B
-  // realizations are shared by every heuristic, exactly as run_unit shares
-  // one realization. Chunking by `ranges` keeps a whole scenario on one
-  // worker (one estimator build per scenario, as in the sequential path).
-  // Progress and RunStats stay in (scenario, trial) units — the executors
-  // are interchangeable to every observer.
-  const auto trials = static_cast<std::size_t>(spec.trials);
-  const std::size_t width =
-      std::min(static_cast<std::size_t>(options.trial_batch), trials);
-  const std::size_t ranges = (trials + width - 1) / width;
-  const std::size_t items = scenarios.size() * ranges;
-  const std::size_t seq_units = scenarios.size() * trials;
-
-  util::parallel_for(
-      items,
-      [&](std::size_t u) {
-        if (stop != nullptr && stop->load(std::memory_order_relaxed)) return;
-        const std::size_t sc = u / ranges;
-        const std::size_t range = u % ranges;
-        const int trial0 = static_cast<int>(range * width);
-        const int b = static_cast<int>(
-            std::min(width, trials - range * width));  // ragged last range
-
-        ScenarioEntry& entry = entry_for(plat_family, scenarios[sc]);
-        const platform::Scenario& scenario = entry.scenario;
-
-        // Per-lane realizations, shared across the heuristic loop. A lane
-        // whose timeline outgrows the budget drops to live generation for
-        // the interrupted heuristic onward — the same per-trial fallback
-        // run_unit applies, minus the other lanes (their artifacts are
-        // unaffected). budget == 0 disables sharing: every lane live.
-        std::vector<std::unique_ptr<platform::Realization>> real(
-            static_cast<std::size_t>(b));
-        if (options.realization_budget > 0) {
-          for (int i = 0; i < b; ++i) {
-            real[static_cast<std::size_t>(i)] =
-                std::make_unique<platform::Realization>(
-                    avail_family->make_source(
-                        scenario.platform,
-                        expt::trial_seed(scenario, trial0 + i), options.init),
-                    options.realization_budget);
-          }
-        }
-
-        // results[lane][heuristic], buffered so rows can be emitted in
-        // trial-then-heuristic order — B back-to-back sequential units.
-        std::vector<std::vector<sim::SimulationResult>> results(
-            static_cast<std::size_t>(b),
-            std::vector<sim::SimulationResult>(heuristics.size()));
-
-        bool abandoned = false;
-        for (std::size_t h = 0; h < heuristics.size() && !abandoned; ++h) {
-          // Replay lanes run in lockstep; scheduler seeding is identical to
-          // run_one, so every lane is bit-for-bit the sequential run.
-          std::vector<std::unique_ptr<sim::Scheduler>> schedulers;
-          std::vector<sim::TrialBatch::Lane> lanes;
-          std::vector<int> lane_of;  // lane index -> range-local trial
-          for (int i = 0; i < b; ++i) {
-            platform::Realization* r = real[static_cast<std::size_t>(i)].get();
-            if (r == nullptr) continue;
-            // Last consumer: stop recording, continue live past the
-            // frontier (run_unit's freeze rule, per lane).
-            if (h + 1 == heuristics.size()) r->freeze();
-            schedulers.push_back(sched::make_scheduler(
-                heuristics[h], entry.estimator,
-                util::derive_seed(scenario.params.seed,
-                                  2000 + static_cast<std::uint64_t>(trial0 + i))));
-            lanes.push_back({r, schedulers.back().get()});
-            lane_of.push_back(i);
-          }
-          if (!lanes.empty()) {
-            sim::TrialBatch batch(scenario.platform, scenario.app,
-                                  std::move(lanes), options.engine(false));
-            const bool metered = obs::enabled();
-            const std::uint64_t t0 = metered ? obs::steady_now_us() : 0;
-            const sim::TrialBatch::Outcome outcome = batch.run(stop);
-            if (metered) {
-              session_metrics().run_replay_us.observe(obs::steady_now_us() - t0);
-            }
-            for (int lane = 0; lane < batch.width(); ++lane) {
-              flush_engine_telemetry(batch.engine(lane));
-            }
-            flush_batch_telemetry(batch.batch_telemetry());
-            if (outcome.cancelled) {
-              abandoned = true;  // no rows: sinks never see a torn item
-              break;
-            }
-            for (std::size_t lane = 0; lane < lane_of.size(); ++lane) {
-              const auto i = static_cast<std::size_t>(lane_of[lane]);
-              if (outcome.completed[lane]) {
-                results[i][h] = std::move(outcome.results[lane]);
-              } else {
-                // Budget overflow: drop the artifact, rerun this heuristic
-                // (and run the remaining ones) live for this trial only.
-                real[i].reset();
-                session_metrics().budget_fallbacks.inc();
-              }
-            }
-          }
-          for (int i = 0; i < b && !abandoned; ++i) {
-            if (real[static_cast<std::size_t>(i)] != nullptr) continue;
-            if (stop != nullptr && stop->load(std::memory_order_relaxed)) {
-              abandoned = true;
-              break;
-            }
-            results[static_cast<std::size_t>(i)][h] =
-                run_one(options, *avail_family, scenario, entry.estimator,
-                        heuristics[h], trial0 + i, nullptr);
-          }
-        }
-        if (abandoned) return;
-
-        {
-          const obs::ScopedTimer timer(session_metrics().emit_us);
-          const std::lock_guard<std::mutex> lock(emit_mutex);
-          for (int i = 0; i < b; ++i) {
-            for (std::size_t h = 0; h < heuristics.size(); ++h) {
-              ResultRow row;
-              row.heuristic = h;
-              row.scenario = sc;
-              row.trial = trial0 + i;
-              row.name = &heuristics[h];
-              row.family = &spec.scenario_space.availability;
-              row.params = &scenarios[sc];
-              row.result = &results[static_cast<std::size_t>(i)][h];
-              for (ResultSink* sink : sinks) sink->consume(row);
-            }
-          }
-          done += static_cast<std::size_t>(b);
-          if (progress) progress(done, seq_units);
-        }
-        rows.fetch_add(static_cast<std::size_t>(b) * heuristics.size(),
-                       std::memory_order_relaxed);
-      },
-      options.threads, ranges);
-
-  for (ResultSink* sink : sinks) sink->finish();
-
-  if (persist_ != nullptr) flush_store();  // quiesce point, as in run()
-
-  RunStats stats;
-  stats.scenarios = scenarios.size();
-  stats.rows = rows.load();
-  stats.units_total = seq_units;
-  stats.units_done = done;
-  stats.cancelled = done < seq_units;
   return stats;
 }
 

@@ -107,19 +107,6 @@ class Session {
   /// the order is completion order (thread-scheduling dependent) — sinks
   /// needing global order sort on the row coordinates (see sink.hpp).
   ///
-  /// Lockstep trial batching (DESIGN.md §13): with options.trial_batch > 1
-  /// the sweep re-chunks to (scenario, trial-range) work items of up to B
-  /// trials and replays each heuristic over the whole range side by side
-  /// (sim::TrialBatch) — one batchwide availability-horizon pass instead of
-  /// B independent event scans, with the shared estimator caches staying
-  /// hot across lanes. Results, row contents and the RunStats unit
-  /// accounting are bit-identical to trial_batch == 1 (enforced by
-  /// tests/batch_test.cpp and the bench_sweep digest gate); rows of a
-  /// range arrive contiguously in trial-then-heuristic order, i.e. as the
-  /// same B consecutive (scenario, trial) units the sequential executor
-  /// would emit. Per-lane budget overflow falls back to live generation
-  /// for that trial alone, exactly mirroring the sequential fallback.
-  ///
   /// Sweeps populate the calling worker threads' scenario/estimator caches
   /// (that is what keeps estimators warm across the trials of a scenario);
   /// call clear_caches() between sweeps to release them. The entries are
@@ -334,12 +321,6 @@ class Session {
       const Options& options, platform::Realization& realization,
       const platform::Scenario& scenario, const sched::Estimator& estimator,
       std::string_view heuristic, int trial);
-
-  /// The lockstep sweep executor behind run() when options.trial_batch > 1
-  /// (see run()'s §13 note for semantics; spec is already validated).
-  RunStats run_batched(const ExperimentSpec& spec,
-                       const std::vector<ResultSink*>& sinks,
-                       const Progress& progress, const std::atomic<bool>* stop);
 
   Options options_;
 

@@ -1,11 +1,31 @@
 #include "api/spec.hpp"
 
+#include <algorithm>
 #include <stdexcept>
 
 #include "sched/registry.hpp"
 #include "util/rng.hpp"
 
 namespace tcgrid::api {
+
+namespace {
+
+// Mirrors the checks of make_scenario, the platform families, Application
+// and Estimator (whose set bitmasks cap p at 64). Those throw inside a
+// sweep's worker task, which terminates the process (util/thread_pool.hpp);
+// validate() must reject such a scenario before any worker builds one.
+void check_scenario(int m, int ncom, long wmin, int p, int iterations,
+                    const std::string& where) {
+  if (m < 1 || ncom < 1 || wmin < 1 || iterations < 1) {
+    throw std::invalid_argument("ExperimentSpec: " + where +
+                                ": m, ncom, wmin and iterations must be >= 1");
+  }
+  if (p < 1 || p > 64) {
+    throw std::invalid_argument("ExperimentSpec: " + where + ": p must be in [1, 64]");
+  }
+}
+
+}  // namespace
 
 std::vector<platform::ScenarioParams> ExperimentSpec::scenarios() const {
   if (!explicit_scenarios.empty()) return explicit_scenarios;
@@ -59,6 +79,13 @@ void ExperimentSpec::validate() const {
         grid.scenarios_per_cell <= 0) {
       throw std::invalid_argument("ExperimentSpec: empty scenario grid");
     }
+    check_scenario(std::ranges::min(grid.ms), std::ranges::min(grid.ncoms),
+                   std::ranges::min(grid.wmins), grid.p, grid.iterations, "grid");
+  }
+  for (std::size_t i = 0; i < explicit_scenarios.size(); ++i) {
+    const platform::ScenarioParams& s = explicit_scenarios[i];
+    check_scenario(s.m, s.ncom, s.wmin, s.p, s.iterations,
+                   "explicit_scenarios[" + std::to_string(i) + "]");
   }
   if (options.slot_cap <= 0) {
     throw std::invalid_argument("ExperimentSpec: slot_cap must be >= 1");
@@ -67,10 +94,6 @@ void ExperimentSpec::validate() const {
     // Catch it here: the engine's own check would throw inside a worker
     // task, which terminates the process (see util/thread_pool.hpp).
     throw std::invalid_argument("ExperimentSpec: avail_block must be >= 1");
-  }
-  if (options.trial_batch <= 0) {
-    // Same rationale: fail before any worker constructs an engine.
-    throw std::invalid_argument("ExperimentSpec: trial_batch must be >= 1");
   }
   if (options.eps <= 0.0) {
     throw std::invalid_argument("ExperimentSpec: eps must be > 0");

@@ -58,7 +58,6 @@ json::Value options_to_json(const Options& o) {
       {"record_trace", o.record_trace},
       {"avail_block", o.avail_block},
       {"fast_forward", o.fast_forward},
-      {"trial_batch", o.trial_batch},
       {"realization_budget", static_cast<unsigned long long>(o.realization_budget)},
       {"eps", o.eps},
       {"shared_chain_stats", o.shared_chain_stats},
@@ -228,11 +227,6 @@ Options parse_options(const Field& f) {
     else if (key == "record_trace") o.record_trace = get_bool(m);
     else if (key == "avail_block") o.avail_block = get_long(m);
     else if (key == "fast_forward") o.fast_forward = get_bool(m);
-    // Bounded here, not just in validate(): a zero/negative width must fail
-    // at the wire with the dotted path, before a spec object even exists.
-    else if (key == "trial_batch")
-      o.trial_batch = static_cast<int>(
-          get_int(m, 1, std::numeric_limits<int>::max()));
     else if (key == "realization_budget")
       o.realization_budget = static_cast<std::size_t>(get_u64(m));
     else if (key == "eps") o.eps = get_double(m);

@@ -133,41 +133,6 @@ UrRow ChainSurvival::snapshot(std::vector<double>& out) {
   return row_;
 }
 
-void ChainSurvival::survival_at(std::span<const long> depths, std::span<double> out) {
-  assert(depths.size() == out.size());
-  // One acquire pair for the whole batch: every depth below the published
-  // frontier is answered from this snapshot of the flat array.
-  const long n = published();
-  const double* table = flat();
-  const bool terminal = n > 0 && table[n - 1] == 0.0;
-  long deepest = -1;
-  for (std::size_t i = 0; i < depths.size(); ++i) {
-    const long t = depths[i];
-    if (t <= 0) {
-      out[i] = 1.0;
-    } else if (t < n) {
-      out[i] = table[t];
-    } else if (terminal) {
-      out[i] = 0.0;
-    } else {
-      deepest = std::max(deepest, t);
-    }
-  }
-  if (deepest < 0) return;
-  // Grow once, to the deepest uncovered depth, then answer the stragglers
-  // from the extended snapshot. A depth still at or past the re-acquired
-  // frontier means the table hit its terminal exact zero before reaching it
-  // — the same 0.0 a scalar grow_to(t) would have returned.
-  grow_to(deepest);
-  const long grown = published();
-  table = flat();
-  for (std::size_t i = 0; i < depths.size(); ++i) {
-    const long t = depths[i];
-    if (t <= 0 || t < n) continue;  // covered by the first pass
-    out[i] = t < grown ? table[t] : 0.0;
-  }
-}
-
 // --------------------------------------------------------- ChainStatsStore ----
 
 ChainStatsStore::ChainStatsStore(double eps) : ChainStatsStore(eps, nullptr) {}

@@ -109,13 +109,6 @@ class ChainSurvival {
   /// once the table has reached its terminal exact zero).
   double grow_to(long t);
 
-  /// Batched probe: out[i] = P(not DOWN within depths[i] slots) for every i,
-  /// bit-identical to per-depth at()/grow_to() calls. The published length
-  /// and flat array are acquired ONCE for the whole batch (instead of once
-  /// per depth), and the table grows at most once, to the deepest uncovered
-  /// depth. Depths <= 0 answer 1.0. depths and out must have equal size.
-  void survival_at(std::span<const long> depths, std::span<double> out);
-
  private:
   friend class ChainStatsStore;
 

@@ -274,25 +274,6 @@ void Realization::copy_digests(long begin, long end, unsigned char* chg,
   }
 }
 
-long Realization::next_change_materialized(long from, long limit) const noexcept {
-  assert(from >= 0);
-  const long hi = std::min(limit, frontier_);  // never materialize
-  if (from >= hi) return from;  // nothing known at or past `from`
-  long s = from;
-  while (s < hi) {
-    const auto w = static_cast<std::size_t>(s >> 6);
-    const std::uint64_t word =
-        (chg_bits_[w] | ndown_bits_[w]) >> (static_cast<std::uint64_t>(s) & 63);
-    if (word != 0) {
-      const long cand = s + std::countr_zero(word);
-      if (cand < hi) return cand;
-      break;  // candidate at/past the scannable bound: range is clean
-    }
-    s = static_cast<long>(w + 1) << 6;
-  }
-  return hi;  // [from, hi) change-free; quiet at least through the frontier
-}
-
 long Realization::next_change(long from, long limit) {
   assert(from >= 0);
   long s = from;

@@ -34,7 +34,6 @@
 // their predecessor).
 #pragma once
 
-#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <memory>
@@ -128,16 +127,6 @@ class Realization {
   /// RealizationBudgetExceeded.
   [[nodiscard]] long next_change(long from, long limit);
 
-  /// next_change restricted to the already-materialized prefix: scans
-  /// [from, min(limit, frontier())) and NEVER materializes (so it never
-  /// throws and is safe past a freeze). Returns the first change slot, the
-  /// scanned bound when the range is change-free, or `from` when nothing at
-  /// or past `from` is materialized ("no known-quiet region"). The lockstep
-  /// batch view (RealizationBatch) uses this to compute a batchwide safe
-  /// horizon without dragging any trial's materialization ahead of what its
-  /// own engine would have pulled.
-  [[nodiscard]] long next_change_materialized(long from, long limit) const noexcept;
-
   /// State of worker q at `slot` (a point lookup on its RLE intervals).
   /// Requires slot < frontier().
   [[nodiscard]] markov::State state_at(int q, long slot) const;
@@ -220,62 +209,6 @@ class Realization {
   static constexpr std::size_t kRowMemoSlots = 256;
   mutable std::vector<markov::State> row_memo_;
   mutable std::vector<long> row_memo_tag_;
-};
-
-/// Cross-trial view of B trials' realizations side by side (DESIGN.md §13):
-/// the lockstep trial-batch engine's window into "when does ANY lane's
-/// availability do something". Holds non-owning pointers; per-trial results
-/// land in structure-of-arrays form (next_changes()) so the batchwide
-/// reduction is one contiguous pass. A null entry is an inactive lane (its
-/// trial finished, or fell back to live generation) and never constrains
-/// the horizon. NOT thread-safe, like the realizations it views.
-class RealizationBatch {
- public:
-  explicit RealizationBatch(std::vector<Realization*> trials)
-      : trials_(std::move(trials)), next_change_(trials_.size(), 0) {}
-
-  [[nodiscard]] int width() const noexcept { return static_cast<int>(trials_.size()); }
-
-  /// Lane accessors. deactivate() drops a lane from every later horizon.
-  [[nodiscard]] Realization* trial(int i) const {
-    return trials_[static_cast<std::size_t>(i)];
-  }
-  void deactivate(int i) noexcept { trials_[static_cast<std::size_t>(i)] = nullptr; }
-
-  /// Materialize every active lane through `slots` (can throw
-  /// RealizationBudgetExceeded — the caller owns per-lane fallback).
-  void ensure(long slots) {
-    for (Realization* r : trials_) {
-      if (r != nullptr) r->ensure(slots);
-    }
-  }
-
-  /// One pass over all lanes: refresh the per-trial next_change SoA for
-  /// [from, limit) (materialized prefixes only — never materializes, never
-  /// throws) and return the batchwide minimum. Every lane is provably
-  /// change-free on [from, horizon): the lockstep engine advances all lanes
-  /// through it together, then peels the lanes whose change (or
-  /// materialization frontier) sits at the horizon into the scalar tail.
-  [[nodiscard]] long safe_horizon(long from, long limit) noexcept {
-    long h = limit;
-    for (std::size_t i = 0; i < trials_.size(); ++i) {
-      const long nc = trials_[i] != nullptr
-                          ? trials_[i]->next_change_materialized(from, limit)
-                          : limit;
-      next_change_[i] = nc;
-      h = std::min(h, nc);
-    }
-    return h;
-  }
-
-  /// Per-trial results of the last safe_horizon pass, SoA layout.
-  [[nodiscard]] const std::vector<long>& next_changes() const noexcept {
-    return next_change_;
-  }
-
- private:
-  std::vector<Realization*> trials_;
-  std::vector<long> next_change_;
 };
 
 /// AvailabilitySource adapter over a Realization: the compatibility path

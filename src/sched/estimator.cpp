@@ -35,26 +35,6 @@ markov::CoupledStats& Estimator::SetCache::lookup(std::uint64_t key, bool& fresh
   return chunks_[slot / kChunk][slot % kChunk];
 }
 
-void Estimator::SetCache::probe(std::span<const std::uint64_t> keys,
-                                const markov::CoupledStats** out) const noexcept {
-  if (table_.empty()) {
-    for (std::size_t i = 0; i < keys.size(); ++i) out[i] = nullptr;
-    return;
-  }
-  const std::size_t mask = table_.size() - 1;
-  for (std::size_t i = 0; i < keys.size(); ++i) {
-    const std::uint64_t key = keys[i];
-    std::size_t j = static_cast<std::size_t>(mix64(key)) & mask;
-    while (table_[j].slot >= 0 && table_[j].key != key) j = (j + 1) & mask;
-    if (table_[j].slot < 0) {
-      out[i] = nullptr;
-    } else {
-      const auto slot = static_cast<std::size_t>(table_[j].slot);
-      out[i] = &chunks_[slot / kChunk][slot % kChunk];
-    }
-  }
-}
-
 void Estimator::SetCache::grow() {
   std::vector<Entry> old = std::move(table_);
   table_.assign(old.empty() ? 1024 : old.size() * 2, Entry{});
@@ -198,11 +178,6 @@ const markov::CoupledStats& Estimator::set_stats_masked(
     stats = store_->set_stats(ids);
   }
   return stats;
-}
-
-void Estimator::set_stats_probe(std::span<const std::uint64_t> keys,
-                                const markov::CoupledStats** out) const {
-  set_cache_.probe(keys, out);
 }
 
 double Estimator::expected_comm_time(std::span<const CommNeed> needs) const {

@@ -109,29 +109,11 @@ class Estimator {
   [[nodiscard]] const markov::CoupledStats& set_stats_masked(
       std::uint64_t key, std::span<const int> set) const;
 
-  /// Batched set_stats front-cache probe: out[i] receives the cached entry
-  /// for bitmask keys[i], or nullptr on a front miss (no insertion — resolve
-  /// misses through set_stats_masked). One cache traversal answers the whole
-  /// batch; the hot candidate loops probe all of a decision round's keys at
-  /// once instead of once per trial-and-candidate.
-  void set_stats_probe(std::span<const std::uint64_t> keys,
-                       const markov::CoupledStats** out) const;
-
   /// Scalar front-cache probe by precomputed bitmask key: the cached entry
   /// or nullptr (no insertion). Inline fast path for the candidate loop.
   [[nodiscard]] const markov::CoupledStats* set_stats_cached(
       std::uint64_t key) const noexcept {
     return set_cache_.find(key);
-  }
-
-  /// Batched survival probe: out[i] = p_no_down(q, depths[i]) for every i,
-  /// bit-identical to the scalar calls, with the chain's published length
-  /// and flat array acquired once per batch and at most one table growth
-  /// (markov::ChainSurvival::survival_at). This is how a decision round (or
-  /// a trial batch sharing this view) walks the store's flat arrays once
-  /// per batch instead of once per trial.
-  void survival_at(int q, std::span<const long> depths, std::span<double> out) const {
-    surv_of_[static_cast<std::size_t>(q)]->survival_at(depths, out);
   }
 
   /// Single-worker statistics (used for per-worker communication times).
@@ -262,10 +244,6 @@ class Estimator {
       const auto slot = static_cast<std::size_t>(table_[i].slot);
       return &chunks_[slot / kChunk][slot % kChunk];
     }
-    /// Probe-only batched lookup: out[i] points at the cached value for
-    /// keys[i], or nullptr when absent. Never inserts or evicts.
-    void probe(std::span<const std::uint64_t> keys,
-               const markov::CoupledStats** out) const noexcept;
     [[nodiscard]] std::size_t size() const noexcept { return size_; }
     /// Same epoch-retired eviction contract as BuildMemo::evict().
     void evict();

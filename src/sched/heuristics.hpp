@@ -103,13 +103,14 @@ class ProactiveScheduler final : public sim::Scheduler {
   /// Whether the current configuration's refreshed criterion credits the
   /// compute slots already banked (W_remaining instead of the full W).
   ///
-  /// Default OFF: only communication progress is credited. This reproduces
-  /// the behaviour the paper *reports* — with static/decaying mid-compute
-  /// criterion values, marginally better candidates keep winning, which is
-  /// exactly what makes P-/Y-criterion combinations with probability-driven
-  /// builders collapse in Tables I-II while the *-IE variants stay good.
+  /// Default OFF: only communication progress is credited, so the current
+  /// configuration is re-scored against the full W for as long as it
+  /// computes, and a candidate needs a strictly better score to replace it.
   /// ON is the literal reading of §VI-B ("computations may have started ...
   /// the measure should be updated"); the ablation bench contrasts the two.
+  /// Neither setting reproduces the paper's Table I ranking at paper scale
+  /// (all twelve proactive variants beat IE here; in the paper eight of
+  /// them lose to it); closing that gap is an open item.
   void set_credit_compute(bool on) noexcept { credit_compute_ = on; }
 
  private:

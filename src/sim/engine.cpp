@@ -42,7 +42,6 @@ Engine::Engine(const platform::Platform& platform, const model::Application& app
   }
   if (options_.slot_cap < 1) throw std::invalid_argument("Engine: slot_cap < 1");
   if (options_.avail_block < 1) throw std::invalid_argument("Engine: avail_block < 1");
-  if (options_.trial_batch < 1) throw std::invalid_argument("Engine: trial_batch < 1");
   // A block never needs to exceed the run length: clamping bounds the buffer
   // (and the prefetch overshoot) by slot_cap however large the option is.
   block_slots_ = std::min(options_.avail_block, options_.slot_cap);
@@ -75,12 +74,6 @@ Engine::Engine(const platform::Platform& platform, const model::Application& app
 }
 
 SimulationResult Engine::run() {
-  begin_run();
-  step_until(options_.slot_cap);
-  return finish_run();
-}
-
-void Engine::begin_run() {
   result_ = {};
   current_iter_ = {};
   telem_ = {};
@@ -106,19 +99,11 @@ void Engine::begin_run() {
   last_phase_ = Phase::Idle;
 
   slot_ = 0;
-  bound_ = 0;
-}
-
-bool Engine::step_until(long slot_limit) {
-  bound_ = std::min(slot_limit, options_.slot_cap);
-  while (slot_ < bound_ && !finished_) {
+  while (slot_ < options_.slot_cap && !finished_) {
     step_slot();
     if (options_.fast_forward && !finished_) fast_forward();
   }
-  return finished_ || slot_ >= options_.slot_cap;
-}
 
-SimulationResult Engine::finish_run() {
   result_.iterations_completed = iterations_done_;
   result_.success = finished_;
   result_.makespan = finished_ ? slot_ : options_.slot_cap;
@@ -643,7 +628,7 @@ void Engine::note_bulk_advance(long& runs, long& slots, long before, bool jumped
 
 void Engine::advance_configured_run(Quiescence::Kind kind) {
   const auto assigns = config_.assignments();
-  while (slot_ < bound_) {
+  while (slot_ < options_.slot_cap) {
     if (block_pos_ == block_filled_) refill_block();
     const auto pos = static_cast<std::size_t>(block_pos_);
     const markov::State* row = peek_row();
@@ -751,7 +736,7 @@ void Engine::advance_comm_run() {
   }
 
   long run = 0;
-  while (slot_ < bound_ && run < finish_horizon) {
+  while (slot_ < options_.slot_cap && run < finish_horizon) {
     if (block_pos_ == block_filled_) refill_block();
     const markov::State* row = peek_row();
     bool pattern_holds = true;
@@ -877,11 +862,11 @@ void Engine::advance_configured_jump() {
   // Frozen realizations end at their frontier: cap stretches there and hand
   // the rest to the per-slot path, whose refill switches to live mode.
   const long replay_end =
-      realization_->frozen() ? realization_->frontier() : bound_;
+      realization_->frozen() ? realization_->frontier() : options_.slot_cap;
   bool all_up = last_phase_ == Phase::Compute;
-  while (slot_ < bound_) {
+  while (slot_ < options_.slot_cap) {
     if (slot_ >= replay_end) break;
-    long limit = std::min(bound_, replay_end);
+    long limit = std::min(options_.slot_cap, replay_end);
     const long need = compute_total_ - compute_done_;
     if (all_up && slot_ + need < limit) limit = slot_ + need;
     const long e = realization_->stable_until(enrolled_buf_, slot_ - 1, limit);
@@ -906,7 +891,7 @@ void Engine::advance_configured_jump() {
       }
       crash_down_in_range(slot_, e - 1);
       slot_ = e;
-      if (slot_ >= bound_) break;
+      if (slot_ >= options_.slot_cap) break;
     }
     if (slot_ >= replay_end) break;  // frozen boundary, not a change slot
     // slot_ == e < cap: some enrolled worker changed state here. Reclassify
@@ -964,7 +949,7 @@ void Engine::advance_comm_jump() {
       ++serveable;
     }
   }
-  long limit = bound_;
+  long limit = options_.slot_cap;
   if (realization_->frozen()) limit = std::min(limit, realization_->frontier());
   if (limit <= slot_) return;  // at the frozen boundary: per-slot path switches
   if (finish_horizon < limit - slot_) limit = slot_ + finish_horizon;  // no overflow
@@ -991,18 +976,18 @@ void Engine::advance_idle_jump(Quiescence::Kind kind) {
   // Idle stops are GLOBAL (a worker joining UP anywhere can end them), so
   // the stretch oracle is the digest bitset scan, not the enrolled RLE.
   const long replay_end =
-      realization_->frozen() ? realization_->frontier() : bound_;
-  while (slot_ < bound_) {
+      realization_->frozen() ? realization_->frontier() : options_.slot_cap;
+  while (slot_ < options_.slot_cap) {
     if (slot_ >= replay_end) break;  // frozen boundary: per-slot path switches
     if (horizon_left_ <= 0) break;
-    long lim = std::min(bound_, replay_end);
+    long lim = std::min(options_.slot_cap, replay_end);
     if (horizon_left_ < lim - slot_) lim = slot_ + horizon_left_;  // no overflow
     const long event = realization_->next_change(slot_, lim);
     const long run = event - slot_;
     result_.idle_slots += run;
     slot_ = event;
     horizon_left_ -= run;
-    if (slot_ >= bound_) break;
+    if (slot_ >= options_.slot_cap) break;
     if (event == lim) continue;  // horizon boundary, not a change slot
     const bool chg = realization_->up_changed_at(slot_);
     if (kind == Quiescence::Kind::UntilUpSetChanges) {
@@ -1024,7 +1009,7 @@ void Engine::advance_idle_jump(Quiescence::Kind kind) {
 }
 
 void Engine::advance_idle_run(Quiescence::Kind kind) {
-  while (slot_ < bound_) {
+  while (slot_ < options_.slot_cap) {
     if (block_pos_ == block_filled_) refill_block();
     const auto pos = static_cast<std::size_t>(block_pos_);
 

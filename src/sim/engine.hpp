@@ -56,15 +56,6 @@ struct EngineOptions {
   /// per-slot loop for every scheduler honoring the quiescence contract;
   /// false forces the legacy per-slot loop (ablation baseline).
   bool fast_forward = true;
-  /// Lockstep trial-batch width (DESIGN.md §13). The engine itself always
-  /// runs ONE trial — this knob is consumed by sim::TrialBatch and
-  /// api::Session, which replay `trial_batch` trials of one (scenario,
-  /// heuristic) cell side by side through the resumable step_until API.
-  /// 1 (the default) is the plain sequential executor; results are
-  /// bit-identical for every width (tests/batch_test.cpp and the
-  /// bench_sweep digest gate enforce it). Kept here so the one options
-  /// struct reaches every layer, spec_json round-trip included.
-  int trial_batch = 1;
 };
 
 /// Drives one application execution: availability advances slot by slot, the
@@ -95,34 +86,6 @@ class Engine {
 
   /// Run to completion (all iterations done) or to the slot cap.
   [[nodiscard]] SimulationResult run();
-
-  // --- resumable execution (DESIGN.md §13) ----------------------------------
-  // run() split into begin / bounded-step / finish so a caller (the lockstep
-  // TrialBatch) can interleave several engines without losing the bulk
-  // advances. The split is outcome-identical to one run() call: pausing
-  // clamps a bulk advance at the bound and the resume re-enters through the
-  // per-slot path, which the fast-forward equivalence argument (§8: per-slot
-  // and bulk processing of a slot agree, and a mid-horizon re-consult is
-  // covered by the quiescence contract) already proves bit-identical —
-  // results AND traces. Only execution-strategy telemetry (per-slot steps vs
-  // bulk runs) and the consult count depend on where the bounds fall.
-
-  /// Reset all run state; the engine stands at slot 0 ready to step. A live
-  /// source continues its stream (same contract as a second run() call).
-  void begin_run();
-
-  /// Advance until slot() reaches min(slot_limit, slot_cap) or the run
-  /// finishes. Returns true when the run is over (all iterations done or
-  /// slot cap hit) — finish_run() then yields the result.
-  bool step_until(long slot_limit);
-
-  /// Finalize and return the result of the stepped run. Call exactly once,
-  /// after step_until returned true (or to harvest a cancelled run's
-  /// partial counters).
-  [[nodiscard]] SimulationResult finish_run();
-
-  /// Next slot to simulate (== slots simulated so far this run).
-  [[nodiscard]] long slot() const noexcept { return slot_; }
 
   /// Activity trace recorded during run() (empty unless record_trace).
   [[nodiscard]] const ActivityTrace& trace() const noexcept { return trace_; }
@@ -215,8 +178,6 @@ class Engine {
 
   // dynamic state
   long slot_ = 0;
-  long bound_ = 0;  ///< step_until limit (== slot_cap for a plain run()):
-                    ///< every bulk advance clamps here instead of at the cap
   std::span<const markov::State> states_;  ///< current row inside block_
   std::vector<markov::State> block_;  ///< [block_slots_ x p] availability buffer
   long block_slots_ = 0;              ///< min(avail_block, slot_cap)

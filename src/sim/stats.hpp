@@ -51,17 +51,6 @@ struct RunTelemetry {
   long replay_jumps = 0;  ///< bulk advances taken via digest-bitset jumps
   /// Length distribution of every bulk advance (slots per advance).
   obs::LocalHistogram bulk_advance_slots;
-
-  // Lockstep trial-batch execution (sim::TrialBatch, DESIGN.md §13). Zero
-  // for plain Engine runs; on a TrialBatch these live in its batch-level
-  // telemetry (the per-lane engines keep their own ordinary tallies above).
-  long batch_rounds = 0;  ///< lockstep rounds driven over the batch
-  long batch_peels = 0;   ///< lane-rounds peeled to the scalar tail (a lane's
-                          ///< availability changed — or ran off its
-                          ///< materialized frontier — inside the round)
-  /// Active-lane count observed once per lockstep round (the batch width
-  /// as trials finish and the tail goes ragged).
-  obs::LocalHistogram batch_width;
 };
 
 }  // namespace tcgrid::sim

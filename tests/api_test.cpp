@@ -403,7 +403,52 @@ TEST(Validation, SpecFieldChecks) {
   spec.options.avail_block = 0;
   EXPECT_THROW(spec.validate(), std::invalid_argument);
 
+  // Scenario parameters the constructors reject, per explicit scenario and
+  // in the grid.
+  const platform::ScenarioParams ok = mini_params();
+  std::vector<platform::ScenarioParams> bad(5, ok);
+  bad[0].m = 0;
+  bad[1].ncom = 0;
+  bad[2].wmin = 0;
+  bad[3].iterations = 0;
+  bad[4].p = 65;
+  for (const platform::ScenarioParams& params : bad) {
+    spec = mini_spec();
+    spec.explicit_scenarios = {ok, params};
+    EXPECT_THROW(spec.validate(), std::invalid_argument);
+  }
+  spec = mini_spec();
+  spec.grid.ncoms = {5, 0};
+  EXPECT_THROW(spec.validate(), std::invalid_argument);
+  spec = mini_spec();
+  spec.grid.iterations = 0;
+  EXPECT_THROW(spec.validate(), std::invalid_argument);
+
   EXPECT_NO_THROW(mini_spec().validate());
+}
+
+TEST(Validation, UnbuildableScenarioThrowsFromRunInsteadOfAborting) {
+  // These used to pass validate() and then throw inside a pool worker,
+  // which terminates the process. run() must reject them up front.
+  ExperimentSpec spec = ExperimentSpec::reduced(5, 2000);
+  spec.grid.ncoms = {5};
+  spec.grid.wmins = {1};
+  spec.heuristics = {"IE"};
+  spec.options.threads = 2;
+  AggregateSink sink;
+  Session session(spec.options);
+
+  ExperimentSpec wide = spec;
+  wide.grid.p = 65;  // past the estimator's 64-processor bitmask
+  EXPECT_THROW(session.run(wide, {&sink}), std::invalid_argument);
+
+  ExperimentSpec empty = spec;
+  platform::ScenarioParams params;
+  params.p = 0;
+  empty.explicit_scenarios = {params};
+  EXPECT_THROW(session.run(empty, {&sink}), std::invalid_argument);
+
+  EXPECT_EQ(session.run(spec, {&sink}).rows, 4u);  // the spec itself is fine
 }
 
 TEST(Validation, RunTrialRejectsUnknownName) {

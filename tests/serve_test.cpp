@@ -172,37 +172,19 @@ TEST(Serve, SubmitStreamComplete) {
   EXPECT_EQ(tail_end.find("rows")->as_uint(), expected);
 }
 
-TEST(Serve, TrialBatchRoundTripsAndZeroWidthIsNamedAtTheWire) {
+TEST(Serve, RemovedTrialBatchFieldIsNamedAtTheWire) {
   serve::ServerOptions opts;
   opts.root = fresh_root("batch");
-  opts.threads = 2;
+  opts.threads = 1;
   serve::Server server(opts);
   Client client(server);
 
-  // A lockstep-width spec survives the wire round-trip and completes; its
-  // rows are the SAME pure functions of (scenario, trial, heuristic) the
-  // sequential executor produces (the daemon schedules per-unit, and
-  // Session bit-identity guarantees the widths agree — batch_test.cpp),
-  // so the two jobs' row sets must match exactly.
-  api::ExperimentSpec spec = tiny_spec(3);
-  const json::Value seq_ack = client.submit(spec, "alice", "seq");
-  ASSERT_TRUE(is_ok(seq_ack)) << error_of(seq_ack);
-  spec.options.trial_batch = 2;  // ragged against 3 trials
-  const json::Value bat_ack = client.submit(spec, "alice", "bat");
-  ASSERT_TRUE(is_ok(bat_ack)) << error_of(bat_ack);
-
-  const auto [seq_rows, seq_end] = client.stream_results("seq");
-  const auto [bat_rows, bat_end] = client.stream_results("bat");
-  EXPECT_EQ(seq_end.find("state")->as_string(), "done");
-  EXPECT_EQ(bat_end.find("state")->as_string(), "done");
-  EXPECT_EQ(sorted(bat_rows), sorted(seq_rows));
-
-  // Zero / negative widths die at the wire with the dotted path (there is
-  // no spec object to validate yet).
+  // A spec written for the removed lockstep executor still carries its
+  // width; the daemon must name the field instead of running the job.
   std::string text = api::spec_to_json_string(tiny_spec());
-  const std::size_t at = text.find("\"trial_batch\":1");
+  const std::size_t at = text.find("\"fast_forward\":");
   ASSERT_NE(at, std::string::npos);
-  text.replace(at, 15, "\"trial_batch\":0");
+  text.insert(at, "\"trial_batch\":1,");
   const json::Value resp =
       client.roundtrip(serve::submit_request("alice", json::parse(text), ""));
   EXPECT_FALSE(is_ok(resp));
@@ -235,6 +217,14 @@ TEST(Serve, MalformedRequestsAndSpecsAreRejectedByName) {
   resp = client.submit(spec, "alice");
   EXPECT_FALSE(is_ok(resp));
   EXPECT_NE(error_of(resp).find("NoSuchHeuristic"), std::string::npos);
+
+  // A scenario the library cannot build (the estimator caps p at 64): a
+  // worker would die on it mid-sweep, so the front door refuses it.
+  spec = tiny_spec();
+  spec.grid.p = 65;
+  resp = client.submit(spec, "alice");
+  EXPECT_FALSE(is_ok(resp));
+  EXPECT_NE(error_of(resp).find("p must be in"), std::string::npos) << error_of(resp);
 
   // Session-level knobs the daemon pins.
   spec = tiny_spec();

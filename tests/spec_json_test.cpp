@@ -57,7 +57,6 @@ api::ExperimentSpec full_spec() {
   spec.options.record_trace = true;
   spec.options.avail_block = 17;
   spec.options.fast_forward = false;
-  spec.options.trial_batch = 8;
   spec.options.realization_budget = (1ull << 33) + 5;  // > 32 bits
   spec.options.eps = 1e-4;
   spec.options.shared_chain_stats = false;
@@ -103,7 +102,6 @@ TEST(SpecJson, EveryFieldSurvivesTheRoundTrip) {
   EXPECT_EQ(back.options.record_trace, spec.options.record_trace);
   EXPECT_EQ(back.options.avail_block, spec.options.avail_block);
   EXPECT_EQ(back.options.fast_forward, spec.options.fast_forward);
-  EXPECT_EQ(back.options.trial_batch, spec.options.trial_batch);
   EXPECT_EQ(back.options.realization_budget, spec.options.realization_budget);
   EXPECT_EQ(back.options.eps, spec.options.eps);
   EXPECT_EQ(back.options.shared_chain_stats, spec.options.shared_chain_stats);
@@ -158,6 +156,9 @@ TEST(SpecJson, ErrorsNameTheOffendingField) {
   expect_field_error(R"({"bogus": 1})", "spec.bogus");
   expect_field_error(R"({"bogus": 1})", "unknown field");
   expect_field_error(R"({"options": {"slot_capp": 1}})", "spec.options.slot_capp");
+  // A removed option is unknown too: it must not silently fall back.
+  expect_field_error(R"({"options": {"trial_batch": 1}})",
+                     "spec.options.trial_batch: unknown field");
   expect_field_error(R"({"trials": "ten"})", "spec.trials");
   expect_field_error(R"({"trials": "ten"})", "expected an integer");
   expect_field_error(R"({"grid": {"ms": [1, "two"]}})", "spec.grid.ms[1]");
@@ -179,11 +180,6 @@ TEST(SpecJson, IntegerRangeIsEnforced) {
   expect_field_error(R"({"trials": 4294967296})", "outside");
   // A seed is unsigned: negatives are rejected, not wrapped.
   expect_field_error(R"({"options": {"seed": -1}})", "spec.options.seed");
-  // A lockstep batch has at least one lane: 0 and negatives fail at the
-  // wire with the dotted path, before a spec object exists.
-  expect_field_error(R"({"options": {"trial_batch": 0}})",
-                     "spec.options.trial_batch");
-  expect_field_error(R"({"options": {"trial_batch": -3}})", "outside");
 }
 
 TEST(SpecJson, SyntaxErrorsCarryTheOffset) {
