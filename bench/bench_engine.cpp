@@ -6,7 +6,9 @@
 //  * --emit_json[=PATH]: the CI perf smoke — run the reduced sweep per
 //    heuristic with the event-horizon fast path ON and OFF (same binary,
 //    same seeds), verify the outcomes are identical, and write
-//    machine-readable slots/sec + speedups to BENCH_engine.json. This seeds
+//    machine-readable slots/sec + speedups to BENCH_engine.json, with the
+//    fast-forward run's scheduler consults and how its configuration builds
+//    were answered (previous-build reuse, memo hit, fresh build). This seeds
 //    the perf trajectory: each CI run leaves a comparable artifact.
 #include <benchmark/benchmark.h>
 
@@ -19,6 +21,7 @@
 
 #include "api/api.hpp"
 #include "bench_common.hpp"
+#include "obs/obs.hpp"
 #include "platform/scenario.hpp"
 #include "sched/incremental.hpp"
 #include "sched/registry.hpp"
@@ -136,7 +139,18 @@ struct SweepTiming {
   double seconds = 0.0;
   long slots = 0;
   std::uint64_t digest = 0;
+  // Scraped from the session's obs counters (obs is on for the whole bench).
+  std::uint64_t consults = 0;
+  std::uint64_t builds_reuse = 0;
+  std::uint64_t builds_memo_hit = 0;
+  std::uint64_t builds_fresh = 0;
 };
+
+std::uint64_t counter_value(const obs::Snapshot& snap, std::string_view name,
+                            const obs::Labels& labels = {}) {
+  const obs::MetricSnapshot* m = snap.find(name, labels);
+  return m == nullptr ? 0 : m->value;
+}
 
 SweepTiming run_sweep(const api::ExperimentSpec& base, const std::string& heuristic,
                       bool fast_forward) {
@@ -145,6 +159,8 @@ SweepTiming run_sweep(const api::ExperimentSpec& base, const std::string& heuris
   spec.options.fast_forward = fast_forward;
   api::Session session(spec.options);
   DigestSink digest;
+  obs::Registry& reg = obs::Registry::instance();
+  reg.reset_values();
   const auto t0 = std::chrono::steady_clock::now();
   session.run(spec, {&digest});
   SweepTiming out;
@@ -152,6 +168,12 @@ SweepTiming run_sweep(const api::ExperimentSpec& base, const std::string& heuris
       std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
   out.slots = digest.slots();
   out.digest = digest.digest();
+  const obs::Snapshot snap = reg.snapshot();
+  out.consults = counter_value(snap, "tcgrid_engine_consults_total");
+  out.builds_reuse = counter_value(snap, "tcgrid_sched_builds_total", {{"path", "reuse"}});
+  out.builds_memo_hit =
+      counter_value(snap, "tcgrid_sched_builds_total", {{"path", "memo_hit"}});
+  out.builds_fresh = counter_value(snap, "tcgrid_sched_builds_total", {{"path", "fresh"}});
   return out;
 }
 
@@ -168,6 +190,7 @@ int emit_json(const util::Cli& cli) {
       static_cast<int>(cli.get_long("scenarios", spec.grid.scenarios_per_cell));
   spec.trials = static_cast<int>(cli.get_long("trials", spec.trials));
   spec.options.threads = 1;  // timings must not depend on core count
+  obs::configure({.enabled = true});  // both arms pay the same counter cost
 
   const std::vector<std::string> heuristics = {
       "IP", "IE", "IAY",              // passive
@@ -192,10 +215,23 @@ int emit_json(const util::Cli& cli) {
         {"slots_per_sec_per_slot", off_rate},
         {"speedup", on_rate / off_rate},
         {"identical", identical},
+        {"consults", static_cast<long>(on.consults)},
+        {"consults_per_slot", static_cast<long>(off.consults)},
+        {"builds",
+         json::Object{{"reuse", static_cast<long>(on.builds_reuse)},
+                      {"memo_hit", static_cast<long>(on.builds_memo_hit)},
+                      {"fresh", static_cast<long>(on.builds_fresh)}}},
     });
-    std::fprintf(stderr, "%-6s %9ld slots  ff %8.0f/s  per-slot %8.0f/s  x%.2f  %s\n",
+    std::fprintf(stderr,
+                 "%-6s %9ld slots  ff %8.0f/s  per-slot %8.0f/s  x%.2f  %s  "
+                 "consults %lu (per-slot %lu)  builds reuse %lu memo %lu fresh %lu\n",
                  name.c_str(), on.slots, on_rate, off_rate, on_rate / off_rate,
-                 identical ? "identical" : "MISMATCH");
+                 identical ? "identical" : "MISMATCH",
+                 static_cast<unsigned long>(on.consults),
+                 static_cast<unsigned long>(off.consults),
+                 static_cast<unsigned long>(on.builds_reuse),
+                 static_cast<unsigned long>(on.builds_memo_hit),
+                 static_cast<unsigned long>(on.builds_fresh));
   }
   const json::Value artifact = json::Object{
       {"bench", "engine_fast_forward"},

@@ -47,6 +47,7 @@ struct EngineMetrics {
   obs::Counter slots_comm, slots_configured, slots_idle;
   obs::Counter replay_jumps;
   obs::Histogram bulk_advance_slots;
+  obs::Counter builds_reuse, builds_memo_hit, builds_fresh;
 };
 
 EngineMetrics& engine_metrics() {
@@ -63,15 +64,19 @@ EngineMetrics& engine_metrics() {
         reg.counter("tcgrid_engine_bulk_slots_total", {{"kind", "idle"}}),
         reg.counter("tcgrid_engine_replay_jumps_total"),
         reg.histogram("tcgrid_engine_bulk_advance_slots"),
+        reg.counter("tcgrid_sched_builds_total", {{"path", "reuse"}}),
+        reg.counter("tcgrid_sched_builds_total", {{"path", "memo_hit"}}),
+        reg.counter("tcgrid_sched_builds_total", {{"path", "fresh"}}),
     };
   }();
   return m;
 }
 
-/// Fold one finished run's RunTelemetry into the registry. Covers every
-/// engine the session constructs (run_one and run_replayed are the two
-/// construction sites shared by run(), run_trial() and the serve workers).
-void flush_engine_telemetry(const sim::Engine& engine) {
+/// Fold one finished run's RunTelemetry and its scheduler's build tallies
+/// into the registry. Covers every engine the session constructs (run_one
+/// and run_replayed are the two construction sites shared by run(),
+/// run_trial() and the serve workers).
+void flush_engine_telemetry(const sim::Engine& engine, const sim::Scheduler& scheduler) {
   if (!obs::enabled()) return;
   const sim::RunTelemetry& t = engine.telemetry();
   EngineMetrics& m = engine_metrics();
@@ -85,6 +90,10 @@ void flush_engine_telemetry(const sim::Engine& engine) {
   m.slots_idle.inc(static_cast<std::uint64_t>(t.bulk_slots_idle));
   m.replay_jumps.inc(static_cast<std::uint64_t>(t.replay_jumps));
   m.bulk_advance_slots.merge(t.bulk_advance_slots);
+  const sched::BuildCounts b = sched::build_counts(scheduler);
+  m.builds_reuse.inc(static_cast<std::uint64_t>(b.reuses));
+  m.builds_memo_hit.inc(static_cast<std::uint64_t>(b.memo_hits));
+  m.builds_fresh.inc(static_cast<std::uint64_t>(b.fresh_builds));
 }
 
 }  // namespace
@@ -242,7 +251,7 @@ sim::SimulationResult Session::run_one(const Options& options,
     const obs::ScopedTimer timer(session_metrics().run_live_us);
     result = engine.run();
   }
-  flush_engine_telemetry(engine);
+  flush_engine_telemetry(engine, *scheduler);
   if (trace != nullptr) *trace = engine.trace();
   return result;
 }
@@ -268,7 +277,7 @@ sim::SimulationResult Session::run_replayed(const Options& options,
   if (metered) {
     session_metrics().run_replay_us.observe(obs::steady_now_us() - t0);
   }
-  flush_engine_telemetry(engine);
+  flush_engine_telemetry(engine, *scheduler);
   return result;
 }
 

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cassert>
 #include <cmath>
+#include <limits>
 #include <stdexcept>
 
 namespace tcgrid::sched {
@@ -15,6 +16,32 @@ constexpr std::size_t kMaxCachedSets = std::size_t{1} << 22;
 constexpr std::size_t kMaxMemoizedBuilds = std::size_t{1} << 20;
 
 using detail::mix64;  // shared with the inline front-cache fast paths
+
+/// Extend a cached scan of value(0), value(1), ... to `upto`: true when every
+/// consecutive pair up to there satisfies `ordered(prev, next)`. A NaN fails
+/// either order, so it ends the provable prefix. `settled(v)` marks a value
+/// every later one is known to equal, which proves the rest at once.
+template <class Value, class Ordered, class Settled>
+bool monotone_prefix(detail::MonotonePrefix& c, long upto, Value value,
+                     Ordered ordered, Settled settled) {
+  if (upto <= c.checked) return true;
+  if (c.broken) return false;
+  double prev = value(c.checked);
+  for (long i = c.checked + 1; i <= upto; ++i) {
+    const double next = value(i);
+    if (!ordered(prev, next)) {
+      c.broken = true;
+      return false;
+    }
+    if (settled(next)) {
+      c.checked = std::numeric_limits<long>::max();
+      return true;
+    }
+    prev = next;
+    c.checked = i;
+  }
+  return true;
+}
 }  // namespace
 
 markov::CoupledStats& Estimator::SetCache::lookup(std::uint64_t key, bool& fresh) {
@@ -139,6 +166,8 @@ Estimator::Estimator(const platform::Platform& platform, const model::Applicatio
         "Estimator: eps differs from the shared chain-stats store's");
   }
   const auto p = static_cast<std::size_t>(platform_.size());
+  comm_mono_.resize(p);
+  surv_mono_.resize(p);
   chain_of_.reserve(p);
   surv_of_.reserve(p);
   per_proc_.reserve(p);
@@ -194,6 +223,25 @@ double Estimator::expected_comm_time(std::span<const CommNeed> needs) const {
                                   static_cast<double>(platform_.ncom()));
   }
   return e_comm;
+}
+
+bool Estimator::comm_time_nondecreasing(int q, long n_max) const {
+  const markov::CoupledStats& st = proc_stats(q);
+  return monotone_prefix(
+      comm_mono_[static_cast<std::size_t>(q)], n_max,
+      [&st](long n) { return st.expected_time(n); },  // 0.0 at n = 0
+      [](double prev, double next) { return next >= prev; },
+      [](double) { return false; });
+}
+
+bool Estimator::survival_nonincreasing(int q, long t_max) const {
+  return monotone_prefix(
+      surv_mono_[static_cast<std::size_t>(q)], t_max,
+      [this, q](long t) { return p_no_down(q, t); },
+      [](double prev, double next) { return next <= prev; },
+      // Survival tables end in an exact 0.0 that every later entry repeats
+      // (ChainSurvival::grow_to's underflow cap).
+      [](double v) { return v == 0.0; });
 }
 
 IterationEstimate Estimator::evaluate(std::span<const CommNeed> needs,

@@ -64,12 +64,31 @@ struct IterationEstimate {
   double e_time = 0.0;
 };
 
+/// The argmax of one placement round of an incremental build: the winning
+/// worker and its score.
+struct RoundWinner {
+  double score = 0.0;
+  int proc = -1;
+};
+
 /// One memoized incremental build (see IncrementalBuilder): the chosen
-/// configuration and its full-iteration estimate.
+/// configuration, its full-iteration estimate, and the winner of each
+/// placement round in round order (empty for an infeasible build) — what the
+/// builder's reuse check replays against changed workers.
 struct MemoizedBuild {
   model::Configuration config;
   IterationEstimate estimate;
+  std::vector<RoundWinner> rounds;
 };
+
+namespace detail {
+/// Cached result of a monotonicity scan over a prefix [0, checked] of one
+/// processor's table; `broken` once a violation was found past `checked`.
+struct MonotonePrefix {
+  long checked = 0;
+  bool broken = false;
+};
+}  // namespace detail
 
 class Estimator {
  public:
@@ -147,6 +166,16 @@ class Estimator {
   /// Expected communication-phase duration alone (paper §V-B).
   [[nodiscard]] double expected_comm_time(std::span<const CommNeed> needs) const;
 
+  /// Whether proc_stats(q).expected_time(n) is non-decreasing over n in
+  /// [0, n_max], reading 0 at n = 0 as expected_comm_time does. Checked on
+  /// the actual values, once per processor and prefix, and cached: the
+  /// proactive heuristics' comm-phase quiescence rests on it (DESIGN.md §8).
+  [[nodiscard]] bool comm_time_nondecreasing(int q, long n_max) const;
+
+  /// Whether p_no_down(q, t) is non-increasing over t in [0, t_max]. Checked
+  /// and cached like comm_time_nondecreasing.
+  [[nodiscard]] bool survival_nonincreasing(int q, long t_max) const;
+
   [[nodiscard]] double eps() const noexcept { return eps_; }
   [[nodiscard]] const platform::Platform& platform() const noexcept { return platform_; }
   [[nodiscard]] const model::Application& app() const noexcept { return app_; }
@@ -172,6 +201,14 @@ class Estimator {
   void set_eviction_caps_for_test(std::size_t sets, std::size_t builds) const noexcept {
     set_cap_ = std::max<std::size_t>(1, sets);
     build_cap_ = std::max<std::size_t>(1, builds);
+  }
+
+  /// Test hook: replace processor q's per-view statistics (and forget its
+  /// cached monotonicity check), so tests can feed a table the real series
+  /// math never produces.
+  void set_proc_stats_for_test(int q, const markov::CoupledStats& stats) {
+    per_proc_[static_cast<std::size_t>(q)] = stats;
+    comm_mono_[static_cast<std::size_t>(q)] = {};
   }
 
   /// Shared memo of incremental builds, keyed by (rule, input-signature) —
@@ -281,6 +318,8 @@ class Estimator {
   mutable SetCache set_cache_;
   mutable std::vector<markov::ChainId> scratch_ids_;  // reused per set_stats miss
   mutable BuildMemo build_memo_;
+  mutable std::vector<detail::MonotonePrefix> comm_mono_;  // per processor
+  mutable std::vector<detail::MonotonePrefix> surv_mono_;  // per processor
   mutable std::size_t set_cap_;    // eviction caps (lowered only by tests)
   mutable std::size_t build_cap_;
 };

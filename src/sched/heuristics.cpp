@@ -1,6 +1,7 @@
 #include "sched/heuristics.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <vector>
 
 namespace tcgrid::sched {
@@ -131,6 +132,13 @@ void ProactiveScheduler::report_no_switch(const BuiltConfiguration& cand,
     report(q_, Kind::EverySlot);
     return;
   }
+  // In the comm phase the promise also covers transfer progress (the engine
+  // bulk-advances up to the next message completion): sound only if that
+  // progress cannot lower the current configuration's score.
+  if (!comm_progress_cannot_lower_score()) {
+    report(q_, Kind::EverySlot);
+    return;
+  }
   q_.kind = Kind::UntilEvent;
   q_.horizon = crit_ == Criterion::Y ? stable_horizon(cur, cand.estimate, elapsed)
                                      : sim::Quiescence::kUnbounded;
@@ -140,6 +148,31 @@ void ProactiveScheduler::report_no_switch(const BuiltConfiguration& cand,
   // and joins are engine-side events already.
   q_.watched.clear();
   for (const auto& a : cand.config.assignments()) q_.watched.push_back(a.proc);
+}
+
+bool ProactiveScheduler::comm_progress_cannot_lower_score() const {
+  // As transfers progress, each n_q in cur_needs_ (the installed
+  // configuration's remaining needs, filled by current_estimate) only
+  // falls. If E^{(q)} is non-decreasing below n_q, E_comm can only fall;
+  // if every P_ND^{(q)} is non-increasing below ceil(E_comm), P_comm can
+  // only rise. W is fixed (no compute crediting here), and every criterion
+  // score is monotone in (P up, E down) under IEEE rounding, so the
+  // refreshed score can only rise while the candidate stays put.
+  const Estimator& est = builder_.estimator();
+  bool pending = false;
+  for (const auto& n : cur_needs_) {
+    if (n.slots <= 0) continue;
+    pending = true;
+    if (!est.comm_time_nondecreasing(n.proc, n.slots)) return false;
+  }
+  if (!pending) return true;  // compute phase: no transfer left to progress
+  const double e_comm = est.expected_comm_time(cur_needs_);
+  if (!(e_comm < 1e12)) return false;  // no table reaches that far
+  const auto t = static_cast<long>(std::ceil(e_comm));
+  for (const auto& n : cur_needs_) {
+    if (!est.survival_nonincreasing(n.proc, t)) return false;
+  }
+  return true;
 }
 
 std::optional<model::Configuration> ProactiveScheduler::decide(

@@ -36,6 +36,11 @@ class PassiveScheduler final : public sim::Scheduler {
   [[nodiscard]] const sim::Quiescence& quiescence() const override { return q_; }
   [[nodiscard]] std::string_view name() const override { return name_; }
 
+  /// How the configuration builds were answered (reuse / memo hit / fresh).
+  [[nodiscard]] const BuildCounts& build_counts() const noexcept {
+    return builder_.counts();
+  }
+
  private:
   IncrementalBuilder builder_;
   std::string name_;
@@ -69,24 +74,34 @@ class RandomScheduler final : public sim::Scheduler {
 ///
 /// Every slot, the current configuration's criterion value is refreshed with
 /// its actual progress (remaining communications and remaining workload) and
-/// compared against a candidate built from scratch by the rule; the switch
-/// happens only on strict improvement, which — because a configuration's
-/// refreshed value can only improve as it progresses — guarantees the
-/// no-divergence property required by §VI-B.
+/// compared against a candidate built by the rule as if from scratch; the
+/// switch happens only on strict improvement, which — because a
+/// configuration's refreshed value can only improve as it progresses —
+/// guarantees the no-divergence property required by §VI-B.
 ///
-/// The candidate depends only on (UP set, holdings) — and additionally on
-/// elapsed time for the IY rule — so it is memoized on a signature of those
-/// inputs in the estimator's shared build memo (availability flaps and
-/// paired trials revisit the same signatures over and over, and a rebuild
-/// costs m*p estimator evaluations). IY rebuilds every slot.
+/// The candidate depends only on (UP set, holdings of UP workers) — and
+/// additionally on elapsed time for the IY rule. The builder therefore
+/// returns its previous candidate when no worker that joined UP or changed
+/// holdings can win a placement round (O(m) per changed worker), and
+/// otherwise consults the estimator's shared build memo, keyed on a
+/// signature of those inputs, before building afresh (a build costs m*p
+/// estimator evaluations). IY rebuilds every slot.
+///
 /// Quiescence (see DESIGN.md §8): after a "no switch" answer under a
 /// non-IY rule without compute crediting, the decision is stable until a
-/// worker joins the UP set or a candidate worker's UP-membership changes
-/// (UntilEvent, watching the memoized candidate's workers). The Y criterion
-/// additionally reports a slot horizon: its scores decay with elapsed time,
-/// so the no-switch comparison can flip with no state change at all; the
-/// horizon is found by replaying decide()'s exact floating-point comparison
-/// at future elapsed values, which keeps fast-forwarded runs bit-identical.
+/// worker joins the UP set, a candidate worker's UP-membership changes, a
+/// message completes or an enrolled worker changes state (UntilEvent,
+/// watching the candidate's workers). Transfer progress short of a message
+/// completion leaves the candidate unchanged and can only raise the current
+/// configuration's score — provided its tables are monotone: each enrolled
+/// q's proc_stats(q).expected_time is non-decreasing on [0, n_q] and its
+/// p_no_down(q, .) is non-increasing on [0, ceil(E_comm)]. The estimator
+/// checks both on the actual tables; if either fails, a comm-phase answer
+/// reports EverySlot instead. The Y criterion additionally reports a slot
+/// horizon: its scores decay with elapsed time, so the no-switch comparison
+/// can flip with no state change at all; the horizon is found by replaying
+/// decide()'s exact floating-point comparison at future elapsed values,
+/// which keeps fast-forwarded runs bit-identical.
 class ProactiveScheduler final : public sim::Scheduler {
  public:
   ProactiveScheduler(Criterion crit, Rule rule, const Estimator& estimator);
@@ -95,10 +110,15 @@ class ProactiveScheduler final : public sim::Scheduler {
   [[nodiscard]] const sim::Quiescence& quiescence() const override { return q_; }
   [[nodiscard]] std::string_view name() const override { return name_; }
 
-  /// Disable candidate memoization (ablation benches only; results must be
-  /// identical with or without it, except for the IY rule where it is
-  /// always off).
+  /// Disable candidate reuse and memoization together (ablation benches and
+  /// tests only; results must be identical with or without them, except for
+  /// the IY rule where both are always off).
   void set_caching(bool on) noexcept { builder_.set_memo(on); }
+
+  /// How the candidate builds were answered (reuse / memo hit / fresh).
+  [[nodiscard]] const BuildCounts& build_counts() const noexcept {
+    return builder_.counts();
+  }
 
   /// Whether the current configuration's refreshed criterion credits the
   /// compute slots already banked (W_remaining instead of the full W).
@@ -120,6 +140,7 @@ class ProactiveScheduler final : public sim::Scheduler {
                                     long elapsed) const;
   void report_no_switch(const BuiltConfiguration& cand, const IterationEstimate& cur,
                         long elapsed);
+  [[nodiscard]] bool comm_progress_cannot_lower_score() const;
 
   Criterion crit_;
   IncrementalBuilder builder_;

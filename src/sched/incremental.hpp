@@ -17,17 +17,26 @@
 namespace tcgrid::sched {
 
 /// Result of building a candidate configuration: the configuration (empty if
-/// no feasible placement exists) and the estimate of the *full* iteration on
-/// it. Aliases the estimator's memo entry type — build results are memoized
-/// at the estimator level (shared across the schedulers and trials of a
-/// scenario).
+/// no feasible placement exists), the estimate of the *full* iteration on
+/// it, and each placement round's winner. Aliases the estimator's memo entry
+/// type — build results are memoized at the estimator level (shared across
+/// the schedulers and trials of a scenario).
 using BuiltConfiguration = MemoizedBuild;
 
 /// FNV-1a signature of everything a (non-IY) incremental build reads from a
-/// view: per-processor UP bit, has_program bit, and completed data-message
-/// count. Two views with equal signatures and the same platform/application
-/// (the estimator's) produce identical builds.
+/// view: per-processor UP bit and, for UP workers only, the has_program bit
+/// and completed data-message count (non-UP workers are never candidates,
+/// so their holdings are not read). Two views with equal signatures and the
+/// same platform/application (the estimator's) produce identical builds.
 [[nodiscard]] std::uint64_t view_signature(const sim::SchedulerView& view);
+
+/// How a builder answered its build_memoized() calls (plain per-builder
+/// tallies; observability only).
+struct BuildCounts {
+  long reuses = 0;        ///< previous build returned: no changed worker wins
+  long memo_hits = 0;     ///< answered from the estimator's build memo
+  long fresh_builds = 0;  ///< full m*p build
+};
 
 /// Like the Estimator it drives, a builder is NOT thread-safe: build()
 /// reuses internal scratch buffers (a build runs m*p candidate evaluations;
@@ -42,11 +51,15 @@ class IncrementalBuilder {
 
   /// Build a configuration for the current view (assumes any existing
   /// configuration would be abandoned: partial transfers are not credited;
-  /// completed program/data are, per the model). Non-IY builds are memoized
-  /// in the estimator's build memo keyed by view_signature — a build is a
-  /// pure function of the signed inputs plus the estimator's fixed
-  /// platform/application, so hits return exactly what a rebuild would.
-  /// The reference is valid until the next build through this estimator.
+  /// completed program/data are, per the model). Non-IY builds answer, in
+  /// order of cost:
+  ///   1. the builder's previous build, when no worker whose inputs changed
+  ///      since then can win any placement round (see reuse_holds);
+  ///   2. the estimator's build memo, keyed by view_signature — a build is a
+  ///      pure function of the signed inputs plus the estimator's fixed
+  ///      platform/application, so hits return exactly what a rebuild would;
+  ///   3. a fresh build (memoized for the next caller).
+  /// The reference is valid until the next build through this builder.
   [[nodiscard]] const BuiltConfiguration& build_memoized(
       const sim::SchedulerView& view) const;
 
@@ -55,10 +68,16 @@ class IncrementalBuilder {
     return build_memoized(view);
   }
 
-  /// Disable the memo (ablation: results must be identical either way; the
-  /// IY rule always bypasses it — its score depends on elapsed time, which
-  /// the signature cannot cover).
-  void set_memo(bool on) noexcept { memo_ = on; }
+  /// Disable the previous-build reuse and the memo together (ablation:
+  /// results must be identical either way; the IY rule always bypasses both
+  /// — its score depends on elapsed time, which neither can cover).
+  void set_memo(bool on) noexcept {
+    memo_ = on;
+    last_valid_ = false;
+  }
+
+  /// Tallies of how build_memoized() calls were answered.
+  [[nodiscard]] const BuildCounts& counts() const noexcept { return counts_; }
 
   /// Estimate an arbitrary configuration from scratch under the same
   /// accounting as build() (used to score proactive candidates and, with
@@ -67,7 +86,23 @@ class IncrementalBuilder {
                                                  const model::Configuration& cfg) const;
 
  private:
-  [[nodiscard]] BuiltConfiguration build_fresh(const sim::SchedulerView& view) const;
+  void build_fresh(const sim::SchedulerView& view, BuiltConfiguration& out) const;
+
+  // One placement round over the partial configuration in order_/loads_.
+  // build_fresh and reuse_holds share these, so the two cannot disagree on
+  // a candidate's score.
+  void begin_rounds(int p) const;
+  void begin_round(const sim::SchedulerView& view) const;
+  [[nodiscard]] double candidate_score(const sim::SchedulerView& view, int q,
+                                       IterationEstimate& est) const;
+  void enroll(const sim::SchedulerView& view, int q) const;
+
+  /// True when the previous build is exactly what a fresh build of `view`
+  /// would return: no candidate worker left UP or changed holdings, and no
+  /// worker that joined UP or changed holdings beats any round's winner.
+  [[nodiscard]] bool reuse_holds(const sim::SchedulerView& view) const;
+  /// Record `view` as the inputs of the build now held in last_.
+  void remember(const sim::SchedulerView& view) const;
 
   /// Structural identity of an un-enrolled candidate: two UP workers with
   /// equal chain, speed and holdings produce bitwise-identical estimates and
@@ -85,10 +120,19 @@ class IncrementalBuilder {
   Rule rule_;
   const Estimator* estimator_;
   bool memo_ = true;
+  mutable BuildCounts counts_;
+
+  // The previous build, held by value (a memo reference would not survive
+  // the memo's eviction), and the inputs it was built from.
+  mutable BuiltConfiguration last_;
+  mutable bool last_valid_ = false;
+  mutable std::uint64_t last_mask_ = 0;  // the build's workers
+  mutable std::vector<unsigned char> last_up_;
+  mutable std::vector<model::Holdings> last_holdings_;
+  mutable std::vector<int> changed_;
 
   // Scratch reused across build calls (cleared on entry, never observable
   // between calls).
-  mutable BuiltConfiguration uncached_;
   mutable std::vector<int> loads_;
   mutable std::vector<int> order_;
   mutable std::vector<int> cand_set_;
@@ -100,6 +144,9 @@ class IncrementalBuilder {
   mutable std::vector<CandClass> classes_;
   mutable std::vector<long> ts_;            // distinct comm horizons, one round
   mutable std::vector<double> base_prod_;   // survival product over order_ per t
+  mutable long total_base_ = 0;             // slot total of the round's base
+  mutable long w_current_ = 0;              // max_q loads[q] * w_q, enrolled
+  mutable std::uint64_t base_mask_ = 0;     // enrolled workers
 };
 
 }  // namespace tcgrid::sched

@@ -121,4 +121,14 @@ std::unique_ptr<sim::Scheduler> make_scheduler(std::string_view name,
                               std::string(name) + "'");
 }
 
+BuildCounts build_counts(const sim::Scheduler& scheduler) {
+  if (const auto* s = dynamic_cast<const ProactiveScheduler*>(&scheduler)) {
+    return s->build_counts();
+  }
+  if (const auto* s = dynamic_cast<const PassiveScheduler*>(&scheduler)) {
+    return s->build_counts();
+  }
+  return {};
+}
+
 }  // namespace tcgrid::sched

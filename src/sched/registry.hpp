@@ -7,6 +7,7 @@
 #include <vector>
 
 #include "sched/estimator.hpp"
+#include "sched/incremental.hpp"
 #include "sim/scheduler.hpp"
 
 namespace tcgrid::sched {
@@ -32,5 +33,9 @@ namespace tcgrid::sched {
 
 /// True if `name` is a valid heuristic name.
 [[nodiscard]] bool is_heuristic_name(std::string_view name);
+
+/// How `scheduler`'s configuration builds were answered so far (all zero
+/// for schedulers without an incremental builder).
+[[nodiscard]] BuildCounts build_counts(const sim::Scheduler& scheduler);
 
 }  // namespace tcgrid::sched

@@ -112,6 +112,7 @@ SimulationResult Engine::run() {
 
 void Engine::step_slot() {
   ++telem_.per_slot_steps;
+  message_completed_ = false;
   refresh_states();
   // Action annotations only feed the trace; when tracing is off every write
   // to actions_ below is skipped (each site checks record_trace).
@@ -411,6 +412,7 @@ void Engine::serve_communications() {
       h.partial_slots = 0;
       if (program) h.has_program = true;
       else ++h.data_messages;
+      message_completed_ = true;
     }
     // One served slot always reduces the worker's remaining need by exactly
     // one, message completion included (the completed message leaves the
@@ -576,19 +578,26 @@ void Engine::fast_forward() {
 
   if (!config_.empty()) {
     if (last_phase_ == Phase::Comm || last_phase_ == Phase::Stalled) {
-      // Comm-phase bulk advance, WhileConfigured only: under enrollment
-      // order the served set is a pure function of (enrolled states, which
-      // transfers are unfinished), so a run of slots with the same enrolled
-      // states and no transfer finishing can be applied arithmetically.
-      // Tracing needs per-slot action rows, and the re-ranked comm orders
-      // re-sort by remaining need every slot: both fall back to per-slot.
-      if (kind == Quiescence::Kind::WhileConfigured &&
-          options_.comm_order == CommOrder::Enrollment && !options_.record_trace) {
-        const long before = slot_;
-        if (jump) advance_comm_jump();
-        else advance_comm_run();
-        note_bulk_advance(telem_.bulk_runs_comm, telem_.bulk_slots_comm, before, jump);
-      }
+      // Comm-phase bulk advance: under enrollment order the served set is a
+      // pure function of (enrolled states, which transfers are unfinished),
+      // so a run of slots with the same enrolled states and no transfer
+      // finishing can be applied arithmetically. WhileConfigured covers any
+      // such run. An UntilEvent "no change" answer covers transfer progress
+      // too, but not a message completion (holdings are decision inputs):
+      // the run then also stops at the answer's events and right after the
+      // next completion, and does not start at all when the slot just
+      // processed completed one. Tracing needs per-slot action rows, and
+      // the re-ranked comm orders re-sort by remaining need every slot: both
+      // fall back to per-slot.
+      if (options_.comm_order != CommOrder::Enrollment || options_.record_trace) return;
+      const bool until_event = kind == Quiescence::Kind::UntilEvent &&
+                               decision_no_change_ && !message_completed_;
+      if (kind != Quiescence::Kind::WhileConfigured && !until_event) return;
+      const long before = slot_;
+      const bool jumped = jump && kind == Quiescence::Kind::WhileConfigured;
+      if (jumped) advance_comm_jump();
+      else advance_comm_run(kind);
+      note_bulk_advance(telem_.bulk_runs_comm, telem_.bulk_slots_comm, before, jumped);
       return;
     }
     // Compute-phase bulk advance. Only valid when the just-processed slot
@@ -705,10 +714,11 @@ void Engine::apply_comm_progress(std::size_t q, long slots) {
   }
 }
 
-void Engine::advance_comm_run() {
+void Engine::advance_comm_run(Quiescence::Kind kind) {
   // The just-processed slot may have finished the last transfer; the next
   // slot then belongs to the compute phase, not to a comm run.
   if (comm_phase_done()) return;
+  const bool until_event = kind == Quiescence::Kind::UntilEvent;
   const auto assigns = config_.assignments();
   // The reference pattern: the enrolled states of the just-processed slot.
   // Copied out of block_ because a refill during the run overwrites it.
@@ -719,8 +729,9 @@ void Engine::advance_comm_run() {
 
   // Who gets served while the pattern holds (first ncom pending workers in
   // enrollment order), and for how many slots the pattern can hold: until
-  // some served transfer finishes (the served set then changes), an
-  // enrolled state changes, or the cap.
+  // some served transfer finishes (the served set then changes) — under
+  // UntilEvent until some served message completes, the slot of the
+  // completion included — an enrolled state changes, or the cap.
   pending_.clear();
   long serveable = 0;
   long finish_horizon = std::numeric_limits<long>::max();
@@ -730,7 +741,13 @@ void Engine::advance_comm_run() {
     if (comm_remaining_buf_[q] == 0) continue;
     if (serveable < platform_.ncom()) {
       pending_.push_back(assigns[i].proc);
-      finish_horizon = std::min(finish_horizon, comm_remaining_buf_[q]);
+      long horizon = comm_remaining_buf_[q];
+      if (until_event) {
+        const model::Holdings& h = holdings_[q];
+        const bool program = !h.has_program && app_.t_prog > 0;
+        horizon = (program ? app_.t_prog : app_.t_data) - h.partial_slots;
+      }
+      finish_horizon = std::min(finish_horizon, horizon);
       ++serveable;
     }
   }
@@ -738,7 +755,17 @@ void Engine::advance_comm_run() {
   long run = 0;
   while (slot_ < options_.slot_cap && run < finish_horizon) {
     if (block_pos_ == block_filled_) refill_block();
+    const auto pos = static_cast<std::size_t>(block_pos_);
     const markov::State* row = peek_row();
+    if (until_event) {
+      // The latched answer's own events: horizon expiry, a worker joining
+      // the UP set, a watched worker's membership change.
+      if (horizon_left_ <= 0) break;
+      if (digest_up_gain_[pos]) break;
+      if (digest_up_changed_[pos] && watched_membership_changed(prev_of_peeked(), row)) {
+        break;
+      }
+    }
     bool pattern_holds = true;
     for (std::size_t i = 0; i < assigns.size(); ++i) {
       if (row[static_cast<std::size_t>(assigns[i].proc)] != comm_ref_[i]) {
@@ -747,13 +774,14 @@ void Engine::advance_comm_run() {
       }
     }
     if (!pattern_holds) break;
-    if (digest_new_down_[static_cast<std::size_t>(block_pos_)]) {
+    if (digest_new_down_[pos]) {
       crash_down_in_row(row);  // un-enrolled only: enrolled states match the
                                // reference, which had no DOWN worker
     }
     ++block_pos_;
     ++slot_;
     ++run;
+    if (until_event) --horizon_left_;
   }
   if (run == 0) return;
   if (pending_.empty()) {
@@ -782,6 +810,8 @@ void Engine::advance_comm_run() {
 //     cannot change until processed again).
 //   * Idle runs (and any horizon-latched kind) stop at GLOBAL events, so
 //     they jump over the digest bitsets (next_change) instead.
+//   * Configured runs on any other kind (UntilEvent compute/suspend and
+//     comm runs) stay on the row-wise loops above.
 //
 // Every slot examined individually reads the identical states and digest
 // values the row-wise loop would read from its window, so both paths take

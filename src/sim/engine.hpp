@@ -128,7 +128,7 @@ class Engine {
   /// value into the given run/slot telemetry pair (no-op for zero-length).
   void note_bulk_advance(long& runs, long& slots, long before, bool jumped);
   void advance_configured_run(Quiescence::Kind kind);
-  void advance_comm_run();
+  void advance_comm_run(Quiescence::Kind kind);
   void advance_idle_run(Quiescence::Kind kind);
   void apply_comm_progress(std::size_t q, long slots);
   void refill_block();
@@ -210,6 +210,7 @@ class Engine {
   const Quiescence* quiesce_ = nullptr;
   long horizon_left_ = 0;           ///< skips still covered by the report
   bool decision_no_change_ = true;  ///< last consult proposed no change
+  bool message_completed_ = false;  ///< the per-slot step completed a message
   Phase last_phase_ = Phase::Idle;
   long consults_ = 0;
 

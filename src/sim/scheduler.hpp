@@ -71,11 +71,17 @@ struct Quiescence {
     /// The decision can only change on one of these events:
     ///   * a processor JOINS the UP set (new placement option),
     ///   * a `watched` processor's UP-membership changes,
-    ///   * an enrolled processor goes DOWN (engine-side restart),
-    ///   * communication progress or an iteration boundary (engine-side),
+    ///   * an enrolled processor changes state (engine-side: a DOWN
+    ///     restarts the iteration, a RECLAIMED pauses its transfer),
+    ///   * a program or data message completes, or an iteration boundary
+    ///     (engine-side),
     ///   * more than `horizon` slots elapse.
     /// UP-set *shrinks* outside `watched` are guaranteed irrelevant (see
-    /// DESIGN.md §8 for why this holds for the incremental builder).
+    /// DESIGN.md §8 for why this holds for the incremental builder). So is
+    /// transfer progress short of a message completion: an answer given
+    /// during a configuration's comm phase promises to hold while its
+    /// transfers progress, and the engine bulk-advances comm slots on it. A
+    /// scheduler that cannot promise that reports EverySlot there instead.
     UntilEvent,
     /// "No change" is guaranteed for as long as the engine keeps the current
     /// configuration installed, whatever happens to states or holdings

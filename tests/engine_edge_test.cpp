@@ -329,6 +329,70 @@ TEST(EngineEdge, WhileConfiguredSkipsConsultsWithIdenticalResults) {
   EXPECT_EQ(decides[1], consults[1]);
 }
 
+/// Pins one configuration and, once it is installed, answers "no change"
+/// under UntilEvent — a promise that covers comm progress but not message
+/// completions. Records the slot of every consult.
+class UntilEventPinScheduler final : public sim::Scheduler {
+ public:
+  explicit UntilEventPinScheduler(model::Configuration config)
+      : config_(std::move(config)) {}
+  std::optional<model::Configuration> decide(const sim::SchedulerView& view) override {
+    slots_.push_back(view.slot);
+    if (!view.has_config()) {
+      q_.kind = sim::Quiescence::Kind::EverySlot;
+      return config_;
+    }
+    q_.kind = sim::Quiescence::Kind::UntilEvent;
+    q_.horizon = sim::Quiescence::kUnbounded;
+    q_.watched.clear();
+    return std::nullopt;
+  }
+  [[nodiscard]] const sim::Quiescence& quiescence() const override { return q_; }
+  [[nodiscard]] std::string_view name() const override { return "until-event-pin"; }
+
+  std::vector<long> slots_;
+
+ private:
+  model::Configuration config_;
+  sim::Quiescence q_;
+};
+
+TEST(EngineEdge, MessageCompletedByPerSlotStepForcesNextConsult) {
+  // Three 2-slot data messages to one always-UP worker (no program): they
+  // complete at slots 1, 3 and 5. Slot 1 is a per-slot step (it follows the
+  // install), so the bulk advance must not start after it: slot 2's consult
+  // is the first to see the new holdings. Slots 3 and 5 are skipped by comm
+  // runs that end on their completions, and slots 7-8 by a compute run.
+  auto plat = make_platform({1}, 1);
+  model::Application app;
+  app.num_tasks = 3;
+  app.t_prog = 0;
+  app.t_data = 2;
+  app.iterations = 1;
+
+  sim::SimulationResult results[2];
+  std::vector<long> slots[2];
+  for (bool ff : {false, true}) {
+    platform::FixedAvailability avail({{State::Up}});
+    UntilEventPinScheduler sched(model::Configuration({{0, 3}}));
+    sim::EngineOptions opts;
+    opts.fast_forward = ff;
+    sim::Engine engine(plat, app, avail, sched, opts);
+    results[ff ? 1 : 0] = engine.run();
+    slots[ff ? 1 : 0] = sched.slots_;
+  }
+  ASSERT_TRUE(results[1].success);
+  EXPECT_EQ(results[1].makespan, 9);
+  EXPECT_EQ(results[0].makespan, results[1].makespan);
+  ASSERT_EQ(results[0].iterations.size(), 1u);
+  ASSERT_EQ(results[1].iterations.size(), 1u);
+  EXPECT_EQ(results[0].iterations[0].comm_slots, results[1].iterations[0].comm_slots);
+  EXPECT_EQ(results[0].iterations[0].compute_slots,
+            results[1].iterations[0].compute_slots);
+  EXPECT_EQ(slots[0].size(), 9u);  // the per-slot loop consults every slot
+  EXPECT_EQ(slots[1], (std::vector<long>{0, 1, 2, 4, 6}));
+}
+
 TEST(EngineEdge, FastForwardMatchesPerSlotOnScriptedRestarts) {
   // A script exercising every event type: suspensions mid-compute, an
   // enrolled DOWN (restart), un-enrolled DOWNs (crash only), and recovery —

@@ -9,7 +9,9 @@
 #include "platform/scenario.hpp"
 #include "sched/heuristics.hpp"
 #include "sched/registry.hpp"
+#include "scen/registry.hpp"
 #include "sim/engine.hpp"
+#include "util/rng.hpp"
 
 namespace tcgrid::sched {
 namespace {
@@ -230,6 +232,85 @@ TEST(IncrementalBuilder, EstimateFreshMatchesBuildEstimate) {
   EXPECT_NEAR(re.e_time, built.estimate.e_time, 1e-12);
 }
 
+TEST(IncrementalBuilder, JoinerTyingTheRoundWinnerAtALowerIndexWins) {
+  // Two identical workers. With only P1 UP the build picks P1; once P0
+  // joins, a fresh build picks P0: equal scores, and the argmax keeps the
+  // lower index. Reusing the previous build here would keep P1.
+  std::vector<platform::Processor> procs(2);
+  for (auto& pr : procs) {
+    pr.speed = 2;
+    pr.max_tasks = 4;
+    pr.availability = markov::TransitionMatrix::from_self_loops(0.95, 0.9, 0.9);
+  }
+  ViewFixture fx(platform::Platform(std::move(procs), 2), small_app(1));
+  Estimator est(fx.plat, fx.app, 1e-8);
+  IncrementalBuilder builder(Rule::IE, est);
+
+  fx.states[0] = State::Reclaimed;
+  const auto first = builder.build(fx.view());
+  ASSERT_EQ(first.config.size(), 1u);
+  EXPECT_EQ(first.config.assignments()[0].proc, 1);
+
+  fx.states[0] = State::Up;
+  const auto second = builder.build(fx.view());
+  ASSERT_EQ(second.config.size(), 1u);
+  EXPECT_EQ(second.config.assignments()[0].proc, 0);
+  EXPECT_EQ(builder.counts().reuses, 0);
+  EXPECT_EQ(builder.counts().fresh_builds, 2);
+}
+
+TEST(IncrementalBuilder, ReuseAndMemoMatchFreshBuildsOnRandomWalks) {
+  // Walk the (UP set, holdings) inputs one or two workers at a time — the
+  // way availability flaps and transfers move them — and check every
+  // answer of a reusing, memoizing builder against a fresh build: the
+  // configuration, the estimate and each round's winner, bit for bit.
+  for (const char* family : {"paper", "clusters"}) {
+    platform::ScenarioParams params;
+    params.m = 5;
+    params.ncom = 5;
+    params.seed = 31;
+    const auto scenario = scen::platform_family(family)->make(params);
+    ViewFixture fx(scenario.platform, scenario.app);
+    Estimator est(fx.plat, fx.app, 1e-6);
+    for (Rule rule : {Rule::IP, Rule::IE, Rule::IAY}) {
+      IncrementalBuilder builder(rule, est);
+      IncrementalBuilder fresh(rule, est);
+      fresh.set_memo(false);
+      util::Rng rng(7);
+      for (int step = 0; step < 400; ++step) {
+        const int flips = 1 + static_cast<int>(rng.index(2));
+        for (int f = 0; f < flips; ++f) {
+          const auto q = rng.index(fx.states.size());
+          switch (rng.index(3)) {
+            case 0:
+              fx.states[q] = fx.states[q] == State::Up ? State::Reclaimed : State::Up;
+              break;
+            case 1:
+              fx.holdings[q].has_program = !fx.holdings[q].has_program;
+              break;
+            default:
+              fx.holdings[q].data_messages = static_cast<int>(rng.index(3));
+          }
+        }
+        const BuiltConfiguration& got = builder.build_memoized(fx.view());
+        const BuiltConfiguration want = fresh.build(fx.view());
+        ASSERT_TRUE(got.config == want.config) << family << " step " << step;
+        ASSERT_EQ(got.estimate.p_success, want.estimate.p_success);
+        ASSERT_EQ(got.estimate.e_time, want.estimate.e_time);
+        ASSERT_EQ(got.rounds.size(), want.rounds.size());
+        for (std::size_t i = 0; i < got.rounds.size(); ++i) {
+          ASSERT_EQ(got.rounds[i].proc, want.rounds[i].proc);
+          ASSERT_EQ(got.rounds[i].score, want.rounds[i].score);
+        }
+      }
+      const BuildCounts& c = builder.counts();
+      EXPECT_EQ(c.reuses + c.memo_hits + c.fresh_builds, 400);
+      EXPECT_GT(c.reuses, 0) << family << " " << to_string(rule);
+      EXPECT_EQ(fresh.counts().fresh_builds, 400);
+    }
+  }
+}
+
 // -------------------------------------------------------------- RANDOM ----
 
 TEST(Random, DeterministicPerSeed) {
@@ -346,30 +427,100 @@ TEST(Proactive, SwitchesWhenBetterWorkersAppear) {
   EXPECT_LT(r1.makespan, r2.makespan);
 }
 
-TEST(Proactive, CachingDoesNotChangeSchedules) {
-  platform::ScenarioParams params;
-  params.m = 5;
-  params.ncom = 5;
-  params.wmin = 2;
-  params.seed = 17;
-  auto scenario = platform::make_scenario(params);
-  Estimator est(scenario.platform, scenario.app, 1e-6);
+void expect_identical(const sim::SimulationResult& a, const sim::SimulationResult& b,
+                      const std::string& what) {
+  EXPECT_EQ(a.success, b.success) << what;
+  EXPECT_EQ(a.makespan, b.makespan) << what;
+  EXPECT_EQ(a.iterations_completed, b.iterations_completed) << what;
+  EXPECT_EQ(a.total_restarts, b.total_restarts) << what;
+  EXPECT_EQ(a.total_reconfigurations, b.total_reconfigurations) << what;
+  EXPECT_EQ(a.idle_slots, b.idle_slots) << what;
+  ASSERT_EQ(a.iterations.size(), b.iterations.size()) << what;
+  for (std::size_t i = 0; i < a.iterations.size(); ++i) {
+    const sim::IterationStats& x = a.iterations[i];
+    const sim::IterationStats& y = b.iterations[i];
+    EXPECT_EQ(x.start_slot, y.start_slot) << what << " iteration " << i;
+    EXPECT_EQ(x.end_slot, y.end_slot) << what << " iteration " << i;
+    EXPECT_EQ(x.comm_slots, y.comm_slots) << what << " iteration " << i;
+    EXPECT_EQ(x.stalled_slots, y.stalled_slots) << what << " iteration " << i;
+    EXPECT_EQ(x.compute_slots, y.compute_slots) << what << " iteration " << i;
+    EXPECT_EQ(x.suspended_slots, y.suspended_slots) << what << " iteration " << i;
+    EXPECT_EQ(x.restarts, y.restarts) << what << " iteration " << i;
+    EXPECT_EQ(x.reconfigurations, y.reconfigurations) << what << " iteration " << i;
+  }
+}
 
-  for (auto [crit, rule] : {std::pair{Criterion::P, Rule::IE},
-                            std::pair{Criterion::E, Rule::IAY},
-                            std::pair{Criterion::Y, Rule::IP}}) {
-    long makespans[2] = {0, 0};
-    for (int pass = 0; pass < 2; ++pass) {
-      ProactiveScheduler sched(crit, rule, est);
-      sched.set_caching(pass == 0);
-      platform::MarkovAvailability avail(scenario.platform, 555);
-      sim::EngineOptions opts;
-      opts.slot_cap = 100000;
-      sim::Engine engine(scenario.platform, scenario.app, avail, sched, opts);
-      makespans[pass] = engine.run().makespan;
+TEST(Proactive, CachingDoesNotChangeSchedules) {
+  // Candidate reuse plus the build memo against the full build at every
+  // consult, for all 12 C-H variants, on the paper platform and on the
+  // clusters platform (where the CandClass dedup fires).
+  for (const char* family : {"paper", "clusters"}) {
+    platform::ScenarioParams params;
+    params.m = 5;
+    params.ncom = 5;
+    params.wmin = 2;
+    params.seed = 17;
+    const auto scenario = scen::platform_family(family)->make(params);
+    Estimator est(scenario.platform, scenario.app, 1e-6);
+
+    for (Criterion crit : {Criterion::P, Criterion::E, Criterion::Y}) {
+      for (Rule rule : {Rule::IP, Rule::IE, Rule::IY, Rule::IAY}) {
+        const std::string what = std::string(family) + " " +
+                                 std::string(to_string(crit)) + "-" +
+                                 std::string(to_string(rule));
+        sim::SimulationResult results[2];
+        BuildCounts counts[2];
+        for (int pass = 0; pass < 2; ++pass) {
+          ProactiveScheduler sched(crit, rule, est);
+          sched.set_caching(pass == 0);
+          platform::MarkovAvailability avail(scenario.platform, 555);
+          sim::EngineOptions opts;
+          opts.slot_cap = 100000;
+          sim::Engine engine(scenario.platform, scenario.app, avail, sched, opts);
+          results[pass] = engine.run();
+          counts[pass] = sched.build_counts();
+        }
+        expect_identical(results[0], results[1], what);
+        EXPECT_EQ(counts[1].reuses + counts[1].memo_hits, 0) << what;
+        if (rule != Rule::IY) EXPECT_GT(counts[0].reuses, 0) << what;
+      }
     }
-    EXPECT_EQ(makespans[0], makespans[1])
-        << to_string(crit) << "-" << to_string(rule);
+  }
+}
+
+TEST(Proactive, NonMonotoneCommTableReportsEverySlotInCommPhase) {
+  // One worker, one task: the candidate is the installed configuration, so
+  // every consult answers "no switch". In the comm phase that answer only
+  // promises to hold through transfer progress if the worker's tables are
+  // monotone; a decreasing expected_time table must withdraw the promise.
+  std::vector<platform::Processor> procs(1);
+  procs[0].speed = 2;
+  procs[0].max_tasks = 2;
+  procs[0].availability = markov::TransitionMatrix::from_self_loops(0.95, 0.9, 0.9);
+  auto app = small_app(1, /*t_prog=*/4, /*t_data=*/2);
+  ViewFixture fx(platform::Platform(std::move(procs), 1), app);
+  const model::Configuration cfg({{0, 1}});
+  const long w = cfg.compute_slots(fx.plat.speeds());
+
+  for (bool monotone : {true, false}) {
+    Estimator est(fx.plat, fx.app, 1e-8);
+    if (!monotone) {
+      markov::CoupledStats bent;
+      bent.p_plus = 1.0;
+      bent.ec = -0.5;  // E(n) = 1 - (n-1)/2: falls as n grows
+      est.set_proc_stats_for_test(0, bent);
+    }
+    ProactiveScheduler sched(Criterion::E, Rule::IE, est);
+    fx.comm_rem[0] = 6;  // comm phase: program and data still to send
+    EXPECT_FALSE(sched.decide(fx.view(&cfg, 3, w)).has_value());
+    EXPECT_EQ(sched.quiescence().kind, monotone ? sim::Quiescence::Kind::UntilEvent
+                                                : sim::Quiescence::Kind::EverySlot);
+    fx.holdings[0].has_program = true;  // compute phase: nothing to progress
+    fx.holdings[0].data_messages = 1;
+    fx.comm_rem[0] = 0;
+    EXPECT_FALSE(sched.decide(fx.view(&cfg, 9, w)).has_value());
+    EXPECT_EQ(sched.quiescence().kind, sim::Quiescence::Kind::UntilEvent);
+    fx.holdings[0] = {};
   }
 }
 
