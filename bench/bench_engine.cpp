@@ -26,6 +26,7 @@
 #include "sched/incremental.hpp"
 #include "sched/registry.hpp"
 #include "util/cli.hpp"
+#include "util/simd.hpp"
 
 namespace {
 
@@ -241,6 +242,7 @@ int emit_json(const util::Cli& cli) {
                     {"trials", spec.trials},
                     {"slot_cap", spec.options.slot_cap}}},
       {"heuristics", std::move(rows)},
+      {"avail_kernel", std::string(util::to_string(util::simd_kernel()))},
       {"all_identical", all_identical},
   };
   if (const int rc = bench::write_json_artifact("bench_engine", path, artifact); rc != 0) {

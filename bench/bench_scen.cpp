@@ -1,31 +1,36 @@
 // Scenario-subsystem bench: (1) availability stepping — the per-slot virtual
 // pull (the engine's pre-block pattern: size()+1 virtual calls per slot)
 // against the block-stepped fast path (one fill_block per 256 slots) for
-// every built-in family, verifying the realizations are identical while
-// timing them; (2) the engine-level effect of the block path on a reduced
-// sweep; (3) the §VII-B cross-family mismatch sweep, end to end through the
+// every built-in family and, for the two chain families, every SIMD kernel
+// the host supports (scalar, avx2, avx512), verifying that every path and
+// kernel yields the identical realization while timing them; (2) the
+// engine-level effect of the block path on a reduced sweep; (3) the §VII-B cross-family mismatch sweep, end to end through the
 // scen registry: the "weibull" family is the true availability process, a
 // Markov model is fitted to its recorded traces (trace_io MLE), and the
 // Markov heuristics run against the true process with only the flawed model.
 //
 // Knobs: --slots N (stepping slots), --scenarios N --trials N --cap N
 // (mismatch sweep), --shape S (Weibull shape), --train N (training slots),
-// --seed N, --check X (exit 1 unless the markov block speedup reaches Xx).
+// --seed N, --check X (exit 1 unless the markov block speedup with the
+// host's kernel reaches Xx). Exits 2 if any checksum differs.
 #include <algorithm>
 #include <chrono>
 #include <cstdint>
 #include <functional>
 #include <iostream>
+#include <memory>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "api/api.hpp"
 #include "expt/runner.hpp"
+#include "platform/cyclostationary.hpp"
 #include "platform/scenario.hpp"
 #include "scen/scen.hpp"
 #include "sched/registry.hpp"
 #include "util/cli.hpp"
+#include "util/simd.hpp"
 #include "util/table.hpp"
 
 namespace {
@@ -104,34 +109,70 @@ int main(int argc, char** argv) {
   platform::ScenarioParams pparams;
   pparams.seed = seed;
   const auto scenario0 = platform::make_scenario(pparams);
+  const scen::DayNightFamilyParams daynight;  // the "daynight" family's defaults
 
-  util::Table step_table(
-      {"family", "per-slot ns/proc-slot", "block ns/proc-slot", "speedup", "identical"});
+  // One source per (family, kernel); weibull has no chain kernel and runs as
+  // its family builds it.
+  using SourceFactory = std::function<std::unique_ptr<platform::AvailabilitySource>()>;
+  struct Arm {
+    std::string family;
+    std::string kernel;
+    SourceFactory make;
+  };
+  std::vector<Arm> arms;
+  const std::string host_kernel(util::to_string(util::simd_kernel()));
+  for (const util::SimdKernel k : util::kAllSimdKernels) {
+    if (!util::simd_kernel_supported(k)) continue;
+    arms.push_back({"markov", std::string(util::to_string(k)), [&, k] {
+                      return std::make_unique<platform::MarkovAvailability>(
+                          scenario0.platform, seed + 1, platform::InitialStates::Stationary, k);
+                    }});
+  }
+  arms.push_back({"weibull", host_kernel, [&] {
+                    return scen::availability_family("weibull")->make_source(
+                        scenario0.platform, seed + 1, platform::InitialStates::Stationary);
+                  }});
+  for (const util::SimdKernel k : util::kAllSimdKernels) {
+    if (!util::simd_kernel_supported(k)) continue;
+    arms.push_back({"daynight", std::string(util::to_string(k)), [&, k] {
+                      return std::make_unique<platform::CyclostationaryAvailability>(
+                          scenario0.platform, seed + 1, daynight.period, daynight.day_slots,
+                          daynight.night_calm, platform::InitialStates::Stationary, k);
+                    }});
+  }
+
+  util::Table step_table({"family", "kernel", "per-slot ns/proc-slot", "block ns/proc-slot",
+                          "speedup", "identical"});
   double markov_speedup = 0.0;
-  for (const char* name : {"markov", "weibull", "daynight"}) {
-    const auto family = scen::availability_family(name);
+  bool all_identical = true;
+  std::string family_of_reference;
+  std::uint64_t reference = 0;  // checksum every arm of a family must match
+  for (const Arm& arm : arms) {
     PullResult slow, fast;
     const double t_slow = best_of(3, [&] {
-      auto src = family->make_source(scenario0.platform, seed + 1,
-                                     platform::InitialStates::Stationary);
+      auto src = arm.make();
       slow = pull_per_slot(*src, slots);
       return slow.seconds;
     });
     const double t_fast = best_of(3, [&] {
-      auto src = family->make_source(scenario0.platform, seed + 1,
-                                     platform::InitialStates::Stationary);
+      auto src = arm.make();
       fast = pull_blocks(*src, slots, 256);
       return fast.seconds;
     });
+    if (arm.family != family_of_reference) {
+      family_of_reference = arm.family;
+      reference = slow.checksum;
+    }
+    const bool identical = slow.checksum == reference && fast.checksum == reference;
+    all_identical = all_identical && identical;
     const double denom = static_cast<double>(slots) * scenario0.platform.size();
     const double speedup = t_slow / t_fast;
-    if (std::string(name) == "markov") markov_speedup = speedup;
-    step_table.add_row({name, util::Table::num(t_slow * 1e9 / denom, 2),
+    if (arm.family == "markov" && arm.kernel == host_kernel) markov_speedup = speedup;
+    step_table.add_row({arm.family, arm.kernel, util::Table::num(t_slow * 1e9 / denom, 2),
                         util::Table::num(t_fast * 1e9 / denom, 2),
-                        util::Table::num(speedup, 2) + "x",
-                        slow.checksum == fast.checksum ? "yes" : "NO (BUG)"});
+                        util::Table::num(speedup, 2) + "x", identical ? "yes" : "NO (BUG)"});
   }
-  std::cout << step_table.str() << "\n";
+  std::cout << step_table.str() << "host kernel: " << host_kernel << "\n\n";
 
   // ------------------------------------------- 2. engine-level reduced sweep ----
   std::cout << "== Engine effect: reduced sweep, avail_block 1 vs 256 ==\n";
@@ -237,6 +278,10 @@ int main(int argc, char** argv) {
   // --check X turns the speedup report into a gate (used by the acceptance
   // run; CI smoke-runs skip it to stay robust to noisy shared runners).
   const double min_speedup = cli.get_double("check", 0.0);
+  if (!all_identical) {
+    std::cout << "\nFAIL: availability checksums differ across paths or kernels.\n";
+    return 2;
+  }
   if (markov_speedup < min_speedup) {
     std::cout << "\nFAIL: markov block-path speedup " << util::Table::num(markov_speedup, 2)
               << "x is below the required " << util::Table::num(min_speedup, 2) << "x.\n";

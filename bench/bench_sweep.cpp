@@ -54,6 +54,7 @@
 #include "serve/protocol.hpp"
 #include "serve/server.hpp"
 #include "util/cli.hpp"
+#include "util/simd.hpp"
 #include "util/socket.hpp"
 
 namespace {
@@ -480,6 +481,7 @@ int main(int argc, char** argv) {
                     {"warm_set_hit_rate", warm_set_hit_rate},
                     {"new_chains_second_pass", warm_new_chains}}},
       {"noise_floor", noise_floor},
+      {"avail_kernel", std::string(util::to_string(util::simd_kernel()))},
       {"chain_store", json::Object{{"chains", cs.chains},
                                    {"intern_hits", cs.intern_hits},
                                    {"set_entries", cs.set_entries},

@@ -8,6 +8,7 @@
 #include "obs/obs.hpp"
 #include "sched/registry.hpp"
 #include "sim/engine.hpp"
+#include "util/simd.hpp"
 #include "util/thread_pool.hpp"
 
 namespace tcgrid::api {
@@ -48,6 +49,7 @@ struct EngineMetrics {
   obs::Counter replay_jumps;
   obs::Histogram bulk_advance_slots;
   obs::Counter builds_reuse, builds_memo_hit, builds_fresh;
+  obs::Gauge avail_kernel_info;  ///< 1, labelled with the availability SIMD kernel
 };
 
 EngineMetrics& engine_metrics() {
@@ -67,6 +69,8 @@ EngineMetrics& engine_metrics() {
         reg.counter("tcgrid_sched_builds_total", {{"path", "reuse"}}),
         reg.counter("tcgrid_sched_builds_total", {{"path", "memo_hit"}}),
         reg.counter("tcgrid_sched_builds_total", {{"path", "fresh"}}),
+        reg.gauge("tcgrid_avail_kernel_info",
+                  {{"kernel", std::string(util::to_string(util::simd_kernel()))}}),
     };
   }();
   return m;
@@ -94,6 +98,7 @@ void flush_engine_telemetry(const sim::Engine& engine, const sim::Scheduler& sch
   m.builds_reuse.inc(static_cast<std::uint64_t>(b.reuses));
   m.builds_memo_hit.inc(static_cast<std::uint64_t>(b.memo_hits));
   m.builds_fresh.inc(static_cast<std::uint64_t>(b.fresh_builds));
+  m.avail_kernel_info.set(1);
 }
 
 }  // namespace

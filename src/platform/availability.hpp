@@ -10,6 +10,7 @@
 #pragma once
 
 #include <array>
+#include <cstdint>
 #include <memory>
 #include <vector>
 
@@ -17,6 +18,7 @@
 #include "markov/state.hpp"
 #include "platform/platform.hpp"
 #include "util/rng.hpp"
+#include "util/simd.hpp"
 
 namespace tcgrid::platform {
 
@@ -89,11 +91,51 @@ using StepCuts = std::array<std::array<std::uint64_t, 2>, markov::kNumStates>;
 /// Cut points equivalent to stepping `m` via markov::step.
 [[nodiscard]] StepCuts step_cuts(const markov::TransitionMatrix& m);
 
+/// The cut points of p chains in structure-of-arrays form:
+/// cut(s, k)[q] == per_proc[q][s][k]. The vector step kernels load one
+/// lane-chunk of each of the six rows and keep it in registers while they
+/// step those chains through a whole block of slots.
+class ChainCuts {
+ public:
+  ChainCuts() = default;
+  explicit ChainCuts(const std::vector<StepCuts>& per_proc);
+
+  [[nodiscard]] int size() const noexcept { return procs_; }
+  [[nodiscard]] const std::uint64_t* cut(markov::State from, int k) const noexcept {
+    return cuts_.data() +
+           (static_cast<std::size_t>(from) * 2 + static_cast<std::size_t>(k)) *
+               static_cast<std::size_t>(procs_);
+  }
+
+ private:
+  std::vector<std::uint64_t> cuts_;
+  int procs_ = 0;
+};
+
+/// The block-stepping kernel shared by every chain-based source. Steps all
+/// p = cuts.size() chains through `slots` transitions: row t of `buf`
+/// (p states) receives the states before transition t, and `state` is left
+/// holding the states after the last one. Transition t of chain q consumes
+/// draws[t*p + q] — slot-major, processor-minor, the order advance() draws
+/// in — and moves to UP when min(draw, kU01Top) < cut(s, 0)[q], to
+/// RECLAIMED when it is < cut(s, 1)[q], else to DOWN (s = current state).
+/// Every kernel gives identical output; Scalar is the reference.
+void step_chains(util::SimdKernel kernel, const ChainCuts& cuts, const std::uint64_t* draws,
+                 markov::State* state, markov::State* buf, long slots);
+
+/// step_chains over slots × p raw draws taken from `rng` in bulk
+/// (Mt19937_64::fill), in bounded chunks, with the kernel of rng's engine.
+void step_chains(const ChainCuts& cuts, util::Rng& rng, markov::State* state,
+                 markov::State* buf, long slots);
+
 /// Lazy sampler of the paper's independent per-processor Markov chains.
 class MarkovAvailability final : public AvailabilitySource {
  public:
+  /// `kernel` picks the SIMD kernels of the engine refill and of fill_block
+  /// (benches and tests pin each one; the realization does not depend on it).
   MarkovAvailability(const Platform& platform, std::uint64_t seed,
-                     InitialStates init = InitialStates::Stationary);
+                     InitialStates init = InitialStates::Stationary,
+                     util::SimdKernel kernel = util::simd_kernel());
 
   [[nodiscard]] int size() const override { return static_cast<int>(states_.size()); }
   [[nodiscard]] markov::State state(int q) const override {
@@ -102,16 +144,17 @@ class MarkovAvailability final : public AvailabilitySource {
   void advance() override;
   [[nodiscard]] long position() const override { return slot_; }
 
-  /// Fast path: steps every chain through precomputed integer cut points
-  /// (one raw engine draw + two compares per processor-slot, no virtual
-  /// dispatch). Bit-identical to advance()'s markov::step reference path.
+  /// Fast path: draws the block's slots × p raw words in bulk and steps
+  /// every chain through precomputed integer cut points with step_chains
+  /// (two compares per processor-slot, all p chains of a slot at once).
+  /// Bit-identical to advance()'s markov::step reference path.
   void fill_block(markov::State* buf, long slots) override;
 
  private:
   const Platform& platform_;
   util::Rng rng_;
   std::vector<markov::State> states_;
-  std::vector<StepCuts> cuts_;  ///< per-processor, aligned with states_
+  ChainCuts cuts_;
   long slot_ = 0;
 };
 

@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <stdexcept>
 
+#include "markov/chain.hpp"
+
 namespace tcgrid::platform {
 
 markov::TransitionMatrix scale_departures(const markov::TransitionMatrix& m,
@@ -29,43 +31,49 @@ CyclostationaryAvailability::CyclostationaryAvailability(const Platform& platfor
                                                          std::uint64_t seed,
                                                          long period, long day_slots,
                                                          double night_calm,
-                                                         InitialStates init)
-    : rng_(seed), period_(period), day_slots_(day_slots) {
+                                                         InitialStates init,
+                                                         util::SimdKernel kernel)
+    : rng_(seed, kernel), period_(period), day_slots_(day_slots) {
   if (period_ < 1 || day_slots_ < 0 || day_slots_ > period_) {
     throw std::invalid_argument("CyclostationaryAvailability: bad period/day_slots");
   }
-  day_cuts_.reserve(static_cast<std::size_t>(platform.size()));
-  night_cuts_.reserve(static_cast<std::size_t>(platform.size()));
+  day_.reserve(static_cast<std::size_t>(platform.size()));
+  night_.reserve(static_cast<std::size_t>(platform.size()));
+  std::vector<StepCuts> day_cuts, night_cuts;
   for (int q = 0; q < platform.size(); ++q) {
-    const auto& day = platform.proc(q).availability;
-    day_cuts_.push_back(step_cuts(day));
-    night_cuts_.push_back(step_cuts(scale_departures(day, night_calm)));
+    day_.push_back(platform.proc(q).availability);
+    night_.push_back(scale_departures(day_.back(), night_calm));
+    day_cuts.push_back(step_cuts(day_.back()));
+    night_cuts.push_back(step_cuts(night_.back()));
   }
+  day_cuts_ = ChainCuts(day_cuts);
+  night_cuts_ = ChainCuts(night_cuts);
   states_ = sample_initial_states(platform, rng_, init);
 }
 
 void CyclostationaryAvailability::advance() {
   // The transition into slot t+1 is governed by the destination slot's
   // regime: what happens during the night follows the night chain.
-  const auto& cuts = day_at(slot_ + 1) ? day_cuts_ : night_cuts_;
-  auto& engine = rng_.engine();
+  const auto& chains = day_at(slot_ + 1) ? day_ : night_;
   for (std::size_t q = 0; q < states_.size(); ++q) {
-    const auto& row = cuts[q][static_cast<std::size_t>(states_[q])];
-    const std::uint64_t x = std::min(engine(), util::kU01Top);
-    states_[q] = x < row[0] ? markov::State::Up
-               : x < row[1] ? markov::State::Reclaimed
-                            : markov::State::Down;
+    states_[q] = markov::step(chains[q], states_[q], rng_);
   }
   ++slot_;
 }
 
 void CyclostationaryAvailability::fill_block(markov::State* buf, long slots) {
-  const std::size_t p = states_.size();
-  for (long t = 0; t < slots; ++t) {
-    std::copy_n(states_.data(), p, buf);
-    buf += p;
-    advance();  // already the non-dispatching cut-point path
+  const auto p = states_.size();
+  for (long t = 0; t < slots;) {
+    // Transition t leads into slot slot_+t+1; its regime holds until the
+    // destination phase reaches the end of the day (or of the period).
+    const long phase = (slot_ + t + 1) % period_;
+    const bool day = phase < day_slots_;
+    const long run = std::min(slots - t, (day ? day_slots_ : period_) - phase);
+    step_chains(day ? day_cuts_ : night_cuts_, rng_, states_.data(),
+                buf + static_cast<std::size_t>(t) * p, run);
+    t += run;
   }
+  slot_ += slots;
 }
 
 }  // namespace tcgrid::platform

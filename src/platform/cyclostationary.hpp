@@ -34,9 +34,11 @@ class CyclostationaryAvailability final : public AvailabilitySource {
   /// scale_departures(day, night_calm). Slot t is a day slot when
   /// t % period < day_slots. Initial states follow `init` against the day
   /// chain (same draw layout as MarkovAvailability).
+  /// `kernel` as for MarkovAvailability.
   CyclostationaryAvailability(const Platform& platform, std::uint64_t seed,
                               long period, long day_slots, double night_calm,
-                              InitialStates init = InitialStates::Stationary);
+                              InitialStates init = InitialStates::Stationary,
+                              util::SimdKernel kernel = util::simd_kernel());
 
   [[nodiscard]] int size() const override { return static_cast<int>(states_.size()); }
   [[nodiscard]] markov::State state(int q) const override {
@@ -45,8 +47,10 @@ class CyclostationaryAvailability final : public AvailabilitySource {
   void advance() override;
   [[nodiscard]] long position() const override { return slot_; }
 
-  /// Fast path: integer cut points per (processor, phase), one raw draw and
-  /// two compares per processor-slot. Bit-identical to advance().
+  /// Fast path: splits the block into runs of transitions under one regime
+  /// and steps each run with step_chains over that regime's cut table — the
+  /// same kernel and bulk draws as MarkovAvailability. Bit-identical to
+  /// advance().
   void fill_block(markov::State* buf, long slots) override;
 
   [[nodiscard]] bool day_at(long slot) const noexcept {
@@ -56,8 +60,10 @@ class CyclostationaryAvailability final : public AvailabilitySource {
  private:
   util::Rng rng_;
   std::vector<markov::State> states_;
-  std::vector<StepCuts> day_cuts_;
-  std::vector<StepCuts> night_cuts_;
+  std::vector<markov::TransitionMatrix> day_;    ///< per-processor, for advance()
+  std::vector<markov::TransitionMatrix> night_;
+  ChainCuts day_cuts_;
+  ChainCuts night_cuts_;
   long period_;
   long day_slots_;
   long slot_ = 0;  ///< slot the CURRENT states belong to

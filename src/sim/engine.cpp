@@ -46,11 +46,14 @@ Engine::Engine(const platform::Platform& platform, const model::Application& app
   // (and the prefetch overshoot) by slot_cap however large the option is.
   block_slots_ = std::min(options_.avail_block, options_.slot_cap);
   if (realization_ != nullptr) {
-    // Replay windows are pure RLE expansion (an order of magnitude cheaper
-    // per slot than live generation), so the live default's overshoot-vs-
-    // fixed-cost balance does not apply: widen the window to amortize the
-    // per-refill run lookups. Any window size yields identical results (the
-    // window is a view of an immutable timeline, not a generation step).
+    // Replay windows are RLE expansion plus a copy of precomputed digests.
+    // Expansion costs about what live generation does: both measure about
+    // 1.2 ns per processor-slot at p = 20 on a 4-core avx512 host (live
+    // generation took 13-14 ns before the SIMD kernels, DESIGN.md §7). A
+    // replay window still skips the live path's per-row digest pass, so it
+    // is widened to amortize the per-refill run lookups. Any window size
+    // yields identical results (the window is a view of an immutable
+    // timeline, not a generation step).
     block_slots_ = std::min(std::max(options_.avail_block, 1024L), options_.slot_cap);
   }
   const auto p = static_cast<std::size_t>(platform_.size());

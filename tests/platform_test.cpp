@@ -2,13 +2,18 @@
 // generator, availability sources, trace I/O, and the semi-Markov extension.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <sstream>
+#include <string>
+#include <vector>
 
 #include "platform/availability.hpp"
 #include "platform/platform.hpp"
 #include "platform/scenario.hpp"
 #include "platform/semi_markov.hpp"
 #include "platform/trace_io.hpp"
+#include "util/rng.hpp"
+#include "util/simd.hpp"
 
 namespace tcgrid::platform {
 namespace {
@@ -137,6 +142,155 @@ TEST(MarkovAvailability, StationaryInitIsDeterministic) {
   MarkovAvailability a(plat, 3), b(plat, 3);
   for (int q = 0; q < plat.size(); ++q) EXPECT_EQ(a.state(q), b.state(q));
 }
+
+// ------------------------------------------------------- step kernels ----
+
+// Every step kernel the binary carries, each its own test instance; one the
+// host CPU cannot run is skipped.
+class StepKernel : public ::testing::TestWithParam<util::SimdKernel> {
+ protected:
+  void SetUp() override {
+    if (!util::simd_kernel_supported(GetParam())) {
+      GTEST_SKIP() << util::to_string(GetParam()) << " not supported on this CPU";
+    }
+  }
+};
+
+// p processors with assorted chains, degenerate ones included: an identity
+// chain (UP forever: cuts ~0) and a row that never returns to UP (cut 0).
+// Those have no unique stationary law, so sources built on it start AllUp.
+Platform mixed_platform(int p) {
+  util::Rng rng(static_cast<std::uint64_t>(p) * 31 + 7);
+  std::vector<Processor> procs(static_cast<std::size_t>(p));
+  for (int q = 0; q < p; ++q) {
+    auto& pr = procs[static_cast<std::size_t>(q)];
+    pr.speed = 1;
+    pr.max_tasks = 2;
+    if (q % 5 == 3) {
+      pr.availability = markov::TransitionMatrix();
+    } else if (q % 7 == 5) {
+      pr.availability = markov::TransitionMatrix(
+          {{{0.0, 0.5, 0.5}, {0.0, 0.9, 0.1}, {0.0, 0.1, 0.9}}});
+    } else {
+      pr.availability = markov::TransitionMatrix::from_self_loops(
+          rng.uniform(0.3, 0.99), rng.uniform(0.3, 0.99), rng.uniform(0.3, 0.99));
+    }
+  }
+  return Platform(std::move(procs), 1);
+}
+
+// With the kernel pinned, blocks of every size alternating with single
+// advance() steps reproduce the per-slot markov::step reference for p below,
+// at, and above the vector widths (so both the full chunks and the
+// masked/scalar tails are exercised).
+TEST_P(StepKernel, MatchesPerSlotAdvanceForEveryWidthAndBlock) {
+  for (const int p : {1, 7, 8, 9, 20, 64}) {
+    const Platform plat = mixed_platform(p);
+    for (const long block : {1L, 7L, 64L, 313L, 1000L}) {
+      const long total = std::max(2 * (block + 1), 1200L);
+      MarkovAvailability ref(plat, 4242, InitialStates::AllUp);
+      MarkovAvailability fast(plat, 4242, InitialStates::AllUp, GetParam());
+      std::vector<markov::State> buf(static_cast<std::size_t>(block * p));
+      long t = 0;
+      while (t < total) {
+        fast.fill_block(buf.data(), block);
+        for (long i = 0; i < block; ++i, ++t) {
+          for (int q = 0; q < p; ++q) {
+            ASSERT_EQ(buf[static_cast<std::size_t>(i * p + q)], ref.state(q))
+                << "p=" << p << " block=" << block << " slot=" << t << " q=" << q;
+          }
+          ref.advance();
+        }
+        for (int q = 0; q < p; ++q) {
+          ASSERT_EQ(fast.state(q), ref.state(q))
+              << "p=" << p << " block=" << block << " slot=" << t << " q=" << q;
+        }
+        fast.advance();
+        ref.advance();
+        ++t;
+      }
+    }
+  }
+}
+
+// Cut rows and draws at the edges of the integer mapping, fed straight to
+// the kernel. Each lane's outcome is spelled out from the cut-point contract
+// (x = min(draw, 2^64-2); UP if x < cut0, RECLAIMED if x < cut1, else DOWN),
+// and the pinned lanes make the failure modes explicit:
+//   * dropping the min(x, kU01Top) clamp turns lane 1's draw 2^64-1 from UP
+//     into DOWN and lane 2's from RECLAIMED into DOWN;
+//   * signed compares (or AVX2 without the 2^63 flip) misorder every draw
+//     or cut at or above 2^63 against one below it (lanes 3 and 4).
+TEST_P(StepKernel, EdgeDrawsAndDegenerateRowsFollowTheCutContract) {
+  constexpr std::uint64_t kAll = ~0ULL;
+  constexpr std::uint64_t kHalf = 1ULL << 63;
+  auto uniform_rows = [](std::uint64_t c0, std::uint64_t c1) {
+    StepCuts cuts{};
+    for (auto& row : cuts) row = {c0, c1};
+    return cuts;
+  };
+  std::vector<StepCuts> per_proc = {
+      uniform_rows(0, 0),                  // 0: never below a cut -> DOWN
+      uniform_rows(kAll, kAll),            // 1: every draw fires -> UP
+      uniform_rows(0, kAll),               // 2: -> RECLAIMED
+      uniform_rows(1ULL << 62, kHalf + 5),  // 3: straddles 2^63
+      uniform_rows(kHalf - 1, kHalf),      // 4: both cuts at the sign boundary
+  };
+  util::Rng rng(5);
+  while (per_proc.size() < 11) {  // 11 lanes: full chunks plus tails
+    StepCuts cuts{};
+    for (auto& row : cuts) {
+      std::uint64_t a = rng.engine()(), b = rng.engine()();
+      if (a > b) std::swap(a, b);
+      row = {a, b};
+    }
+    per_proc.push_back(cuts);
+  }
+  const ChainCuts cuts(per_proc);
+  const std::size_t p = per_proc.size();
+  const std::vector<std::uint64_t> edges = {
+      0,     1,         1ULL << 62,     kHalf - 1, kHalf, kHalf + 1,
+      kHalf + 5, kAll - 2, kAll - 1, kAll};
+  const long slots = 40;
+  std::vector<std::uint64_t> draws(static_cast<std::size_t>(slots) * p);
+  for (std::size_t i = 0; i < draws.size(); ++i) {
+    draws[i] = i % 3 == 2 ? rng.engine()() : edges[(i * 7 + i / p) % edges.size()];
+  }
+  std::vector<markov::State> init(p);
+  for (std::size_t q = 0; q < p; ++q) init[q] = static_cast<markov::State>(q % 3);
+
+  // Expected rows, lane by lane from the contract.
+  std::vector<markov::State> expected(static_cast<std::size_t>(slots) * p);
+  std::vector<markov::State> cur = init;
+  for (long t = 0; t < slots; ++t) {
+    for (std::size_t q = 0; q < p; ++q) {
+      expected[static_cast<std::size_t>(t) * p + q] = cur[q];
+      const auto& row = per_proc[q][static_cast<std::size_t>(cur[q])];
+      const std::uint64_t draw = draws[static_cast<std::size_t>(t) * p + q];
+      const std::uint64_t x = draw == kAll ? kAll - 1 : draw;
+      cur[q] = x < row[0] ? markov::State::Up
+               : x < row[1] ? markov::State::Reclaimed
+                            : markov::State::Down;
+    }
+  }
+
+  std::vector<markov::State> state = init;
+  std::vector<markov::State> buf(expected.size());
+  step_chains(GetParam(), cuts, draws.data(), state.data(), buf.data(), slots);
+  for (std::size_t i = 0; i < buf.size(); ++i) {
+    ASSERT_EQ(buf[i], expected[i]) << "slot " << i / p << " lane " << i % p;
+  }
+  EXPECT_EQ(state, cur);
+  for (long t = 1; t < slots; ++t) {
+    const auto row = static_cast<std::size_t>(t) * p;
+    EXPECT_EQ(buf[row + 0], markov::State::Down);
+    EXPECT_EQ(buf[row + 1], markov::State::Up);
+    EXPECT_EQ(buf[row + 2], markov::State::Reclaimed);
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Kernels, StepKernel, ::testing::ValuesIn(util::kAllSimdKernels),
+                         [](const auto& info) { return std::string(util::to_string(info.param)); });
 
 TEST(FixedAvailability, FollowsScriptThenAllUp) {
   using markov::State;

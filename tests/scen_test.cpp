@@ -10,6 +10,7 @@
 #include <set>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "api/api.hpp"
@@ -19,6 +20,7 @@
 #include "platform/scenario.hpp"
 #include "scen/scen.hpp"
 #include "sched/registry.hpp"
+#include "util/simd.hpp"
 
 namespace tcgrid {
 namespace {
@@ -225,6 +227,52 @@ TEST(Families, DayNightCalmEqualsPlainMarkov) {
   auto cyclo = family->make_source(plat, 4242, platform::InitialStates::Stationary);
   platform::MarkovAvailability plain(plat, 4242, platform::InitialStates::Stationary);
   EXPECT_EQ(pull_per_slot(*cyclo, 3000), pull_per_slot(plain, 3000));
+}
+
+// The day/night source steps each same-regime run of a block with the
+// shared chain kernel and switches cut tables at every boundary. With a
+// 10-slot period and 3 day slots, blocks of every size below straddle day
+// and night boundaries at every phase, mixed with single advance() steps;
+// the degenerate schedules (all night, all day) take the run split's edges.
+// Every kernel the host supports is checked.
+// Pulls `expected.size()` slots from `src` as blocks of `block` slots, each
+// followed by one advance(), and checks every row against `expected`.
+void expect_blocks_with_advances(platform::AvailabilitySource& src, long block,
+                                 const StateTimeline& expected) {
+  const int p = src.size();
+  std::vector<State> buf(static_cast<std::size_t>(block * p));
+  std::size_t t = 0;
+  while (t + static_cast<std::size_t>(block) < expected.size()) {
+    src.fill_block(buf.data(), block);
+    for (long i = 0; i < block; ++i, ++t) {
+      const auto* row = buf.data() + i * p;
+      ASSERT_EQ(StateTimeline::value_type(row, row + p), expected[t]) << "slot " << t;
+    }
+    for (int q = 0; q < p; ++q) {
+      ASSERT_EQ(src.state(q), expected[t][static_cast<std::size_t>(q)]) << "slot " << t;
+    }
+    src.advance();
+    ++t;
+  }
+}
+
+TEST(Families, DayNightBlocksStraddlingBoundariesMatchPerSlot) {
+  const auto plat = small_platform(9, 21);
+  for (const auto& [period, day] : {std::pair{10L, 3L}, std::pair{10L, 0L}, std::pair{7L, 7L},
+                                    std::pair{1L, 1L}}) {
+    platform::CyclostationaryAvailability ref(plat, 31, period, day, 0.2);
+    const StateTimeline expected = pull_per_slot(ref, 1500);
+    for (const util::SimdKernel kernel : util::kAllSimdKernels) {
+      if (!util::simd_kernel_supported(kernel)) continue;
+      for (long block : {1L, 2L, 3L, 7L, 10L, 64L, 313L}) {
+        SCOPED_TRACE(testing::Message() << util::to_string(kernel) << " period=" << period
+                                        << " day=" << day << " block=" << block);
+        platform::CyclostationaryAvailability src(plat, 31, period, day, 0.2,
+                                                  platform::InitialStates::Stationary, kernel);
+        expect_blocks_with_advances(src, block, expected);
+      }
+    }
+  }
 }
 
 TEST(Families, DayNightNightIsCalmer) {

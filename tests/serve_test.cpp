@@ -25,6 +25,7 @@
 #include "serve/protocol.hpp"
 #include "serve/server.hpp"
 #include "util/json.hpp"
+#include "util/simd.hpp"
 #include "util/socket.hpp"
 
 namespace api = tcgrid::api;
@@ -650,6 +651,11 @@ TEST(Serve, MetricsVerbReportsPerTenantSeries) {
     EXPECT_NE(text.find("tcgrid_serve_unit_service_us_count{tenant=\"ten-b\"} 8"),
               std::string::npos);
     EXPECT_NE(text.find("tcgrid_serve_queue_depth 0"), std::string::npos);
+    // The availability kernel the units ran with, as an info gauge.
+    const std::string kernel_info = "tcgrid_avail_kernel_info{kernel=\"" +
+                                    std::string(util::to_string(util::simd_kernel())) +
+                                    "\"} 1";
+    EXPECT_NE(text.find(kernel_info), std::string::npos) << kernel_info;
 
     // Bad format names the field.
     const json::Value bad = client.roundtrip(serve::metrics_request("xml"));

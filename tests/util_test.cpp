@@ -3,12 +3,15 @@
 
 #include <algorithm>
 #include <atomic>
+#include <random>
 #include <set>
+#include <string>
 #include <vector>
 
 #include "util/cli.hpp"
 #include "util/csv.hpp"
 #include "util/rng.hpp"
+#include "util/simd.hpp"
 #include "util/table.hpp"
 #include "util/thread_pool.hpp"
 
@@ -135,6 +138,90 @@ TEST(Rng, Uniform01CutIsExactForAllCutpoints) {
 TEST(Rng, WeibullPositive) {
   util::Rng rng(6);
   for (int i = 0; i < 100; ++i) EXPECT_GT(rng.weibull(0.7, 10.0), 0.0);
+}
+
+// --------------------------------------------------------- mt19937-64 ----
+
+// Every refill kernel the binary carries, each its own test instance; one
+// the host CPU cannot run is skipped.
+class MtKernel : public ::testing::TestWithParam<util::SimdKernel> {
+ protected:
+  void SetUp() override {
+    if (!util::simd_kernel_supported(GetParam())) {
+      GTEST_SKIP() << util::to_string(GetParam()) << " not supported on this CPU";
+    }
+  }
+};
+
+// The stream is std::mt19937_64's, draw for draw, whichever way it is taken.
+// Draws are taken by operator() and fill() at odd offsets so every refill
+// boundary falls inside a bulk copy. Over 5+ refills this catches a twist
+// that reads the old x[0] in lane 311 (the second refill diverges at its
+// last word), a wrong chunk straddling index 156, and a broken tempering.
+TEST_P(MtKernel, MatchesStdEngineAcrossRefills) {
+  for (const std::uint64_t seed : {0ULL, 5489ULL, ~0ULL}) {
+    std::mt19937_64 ref(seed);
+    util::Mt19937_64 mt(seed, GetParam());
+    ASSERT_EQ(mt.kernel(), GetParam());
+    std::vector<std::uint64_t> got;
+    std::vector<std::uint64_t> chunk;
+    for (const std::size_t n : {1U, 7U, 311U, 3U, 313U, 1U, 629U, 5U, 312U, 2U}) {
+      if (n <= 3) {
+        for (std::size_t i = 0; i < n; ++i) got.push_back(mt());
+      } else {
+        chunk.assign(n, 0);
+        mt.fill(chunk.data(), n);
+        got.insert(got.end(), chunk.begin(), chunk.end());
+      }
+    }
+    ASSERT_GT(got.size(), 4 * util::Mt19937_64::state_size);
+    for (std::size_t i = 0; i < got.size(); ++i) {
+      ASSERT_EQ(got[i], ref()) << "seed " << seed << " draw " << i;
+    }
+  }
+}
+
+// Distributions see the same bits, so they produce the same values.
+TEST_P(MtKernel, StdDistributionsAndShuffleMatchStdEngine) {
+  std::mt19937_64 ref(99);
+  util::Mt19937_64 mt(99, GetParam());
+  for (int i = 0; i < 500; ++i) {
+    ASSERT_EQ(std::uniform_int_distribution<long>(-3, 1000)(mt),
+              std::uniform_int_distribution<long>(-3, 1000)(ref));
+    ASSERT_EQ(std::weibull_distribution<double>(0.7, 30.0)(mt),
+              std::weibull_distribution<double>(0.7, 30.0)(ref));
+    ASSERT_EQ(std::exponential_distribution<double>(0.25)(mt),
+              std::exponential_distribution<double>(0.25)(ref));
+    ASSERT_EQ(std::uniform_real_distribution<double>(0.9, 0.99)(mt),
+              std::uniform_real_distribution<double>(0.9, 0.99)(ref));
+  }
+  std::vector<int> a(1000), b(1000);
+  for (int i = 0; i < 1000; ++i) a[static_cast<std::size_t>(i)] = b[static_cast<std::size_t>(i)] = i;
+  std::shuffle(a.begin(), a.end(), mt);
+  std::shuffle(b.begin(), b.end(), ref);
+  EXPECT_EQ(a, b);
+}
+
+INSTANTIATE_TEST_SUITE_P(Kernels, MtKernel, ::testing::ValuesIn(util::kAllSimdKernels),
+                         [](const auto& info) { return std::string(util::to_string(info.param)); });
+
+TEST(Rng, DistributionsMatchStdEngineSeededTheSameWay) {
+  // Rng seeds its engine with splitmix64(seed); every distribution it offers
+  // must draw what the standard engine would have.
+  util::Rng rng(2024);
+  std::mt19937_64 ref(util::splitmix64(2024));
+  for (int i = 0; i < 300; ++i) {
+    ASSERT_EQ(rng.uniform_int(0, 77), std::uniform_int_distribution<long>(0, 77)(ref));
+    ASSERT_EQ(rng.weibull(1.5, 2.0), std::weibull_distribution<double>(1.5, 2.0)(ref));
+    ASSERT_EQ(rng.exponential(3.0), std::exponential_distribution<double>(3.0)(ref));
+    ASSERT_EQ(rng.uniform01(), util::u01_from_bits(ref()));
+  }
+}
+
+TEST(Rng, HostKernelIsSupported) {
+  EXPECT_TRUE(util::simd_kernel_supported(util::simd_kernel()));
+  EXPECT_TRUE(util::simd_kernel_supported(util::SimdKernel::Scalar));
+  EXPECT_EQ(util::Rng(1).engine().kernel(), util::simd_kernel());
 }
 
 // ---------------------------------------------------------------- cli ----
