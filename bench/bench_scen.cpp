@@ -2,7 +2,7 @@
 // pull (the engine's pre-block pattern: size()+1 virtual calls per slot)
 // against the block-stepped fast path (one fill_block per 256 slots) for
 // every built-in family and, for the two chain families, every SIMD kernel
-// the host supports (scalar, avx2, avx512), verifying that every path and
+// the host supports (scalar, avx2), verifying that every path and
 // kernel yields the identical realization while timing them; (2) the
 // engine-level effect of the block path on a reduced sweep; (3) the §VII-B cross-family mismatch sweep, end to end through the
 // scen registry: the "weibull" family is the true availability process, a

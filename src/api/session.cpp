@@ -98,7 +98,6 @@ void flush_engine_telemetry(const sim::Engine& engine, const sim::Scheduler& sch
   m.builds_reuse.inc(static_cast<std::uint64_t>(b.reuses));
   m.builds_memo_hit.inc(static_cast<std::uint64_t>(b.memo_hits));
   m.builds_fresh.inc(static_cast<std::uint64_t>(b.fresh_builds));
-  m.avail_kernel_info.set(1);
 }
 
 }  // namespace
@@ -116,6 +115,10 @@ Session::Session(Options options) : options_(std::move(options)) {
   if (options_.shared_chain_stats) {
     chain_store_ = std::make_shared<markov::ChainStatsStore>(options_.eps, persist_);
   }
+  // The kernel is fixed for the process, so the info gauge is written once
+  // per session rather than per run: it is in the scrape before the first
+  // run finishes, and again after a registry value reset.
+  if (obs::enabled()) engine_metrics().avail_kernel_info.set(1);
 }
 
 Session::~Session() {

@@ -33,7 +33,7 @@ void step_scalar(const ChainCuts& cuts, const std::uint64_t* draws, State* state
   }
 }
 
-// The vector kernels step one chunk of lanes (chains) through every slot of
+// The vector kernel steps one chunk of lanes (chains) through every slot of
 // the block before moving to the next chunk: chains are independent, so the
 // order is free, and a chunk's six cut vectors and its state stay in
 // registers for the whole block.
@@ -110,52 +110,6 @@ TCGRID_TARGET_AVX2 void step_avx2(const ChainCuts& cuts, const std::uint64_t* dr
     state[q0] = s;
   }
 }
-
-// GCC 12's AVX-512 headers build unary results on a self-initialized
-// _mm512_undefined_epi32(), which -Wuninitialized reports at every inlined
-// use; the value is never read.
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wuninitialized"
-#pragma GCC diagnostic ignored "-Wmaybe-uninitialized"
-// AVX-512 has the unsigned compare and min; the tail chunk is masked.
-TCGRID_TARGET_AVX512 void step_avx512(const ChainCuts& cuts, const std::uint64_t* draws,
-                                      State* state, State* buf, long slots) {
-  const auto p = static_cast<std::size_t>(cuts.size());
-  const __m512i top = _mm512_set1_epi64(static_cast<long long>(util::kU01Top));
-  const __m512i one = _mm512_set1_epi64(1);
-  const __m512i two = _mm512_set1_epi64(2);
-  for (std::size_t q0 = 0; q0 < p; q0 += 8) {
-    const auto lanes = static_cast<unsigned>(std::min<std::size_t>(8, p - q0));
-    const auto mask = static_cast<__mmask8>((1U << lanes) - 1);
-    const __m512i up_lo = _mm512_maskz_loadu_epi64(mask, cuts.cut(State::Up, 0) + q0);
-    const __m512i up_hi = _mm512_maskz_loadu_epi64(mask, cuts.cut(State::Up, 1) + q0);
-    const __m512i rec_lo = _mm512_maskz_loadu_epi64(mask, cuts.cut(State::Reclaimed, 0) + q0);
-    const __m512i rec_hi = _mm512_maskz_loadu_epi64(mask, cuts.cut(State::Reclaimed, 1) + q0);
-    const __m512i down_lo = _mm512_maskz_loadu_epi64(mask, cuts.cut(State::Down, 0) + q0);
-    const __m512i down_hi = _mm512_maskz_loadu_epi64(mask, cuts.cut(State::Down, 1) + q0);
-    __m512i s = _mm512_cvtepu8_epi64(_mm_maskz_loadu_epi8(mask, state + q0));
-    const __mmask8 is_rec = _mm512_cmpeq_epi64_mask(s, one);
-    const __mmask8 is_down = _mm512_cmpeq_epi64_mask(s, two);
-    __m512i lo = _mm512_mask_mov_epi64(_mm512_mask_mov_epi64(up_lo, is_rec, rec_lo), is_down,
-                                       down_lo);
-    __m512i hi = _mm512_mask_mov_epi64(_mm512_mask_mov_epi64(up_hi, is_rec, rec_hi), is_down,
-                                       down_hi);
-    const std::uint64_t* x_ptr = draws + q0;
-    State* row = buf + q0;
-    for (long t = 0; t < slots; ++t, x_ptr += p, row += p) {
-      _mm512_mask_cvtepi64_storeu_epi8(row, mask, s);
-      const __m512i x = _mm512_min_epu64(_mm512_maskz_loadu_epi64(mask, x_ptr), top);
-      const __mmask8 lt_lo = _mm512_cmplt_epu64_mask(x, lo);
-      const __mmask8 lt_hi = _mm512_cmplt_epu64_mask(x, hi);
-      s = _mm512_maskz_mov_epi64(static_cast<__mmask8>(~lt_lo),
-                                 _mm512_mask_mov_epi64(two, lt_hi, one));
-      lo = _mm512_mask_mov_epi64(_mm512_mask_mov_epi64(down_lo, lt_hi, rec_lo), lt_lo, up_lo);
-      hi = _mm512_mask_mov_epi64(_mm512_mask_mov_epi64(down_hi, lt_hi, rec_hi), lt_lo, up_hi);
-    }
-    _mm512_mask_cvtepi64_storeu_epi8(state + q0, mask, s);
-  }
-}
-#pragma GCC diagnostic pop
 #endif
 
 }  // namespace
@@ -173,7 +127,6 @@ ChainCuts::ChainCuts(const std::vector<StepCuts>& per_proc)
 void step_chains(util::SimdKernel kernel, const ChainCuts& cuts, const std::uint64_t* draws,
                  State* state, State* buf, long slots) {
 #if TCGRID_SIMD_X86
-  if (kernel == util::SimdKernel::Avx512) return step_avx512(cuts, draws, state, buf, slots);
   if (kernel == util::SimdKernel::Avx2) return step_avx2(cuts, draws, state, buf, slots);
 #endif
   (void)kernel;

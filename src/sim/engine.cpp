@@ -47,13 +47,13 @@ Engine::Engine(const platform::Platform& platform, const model::Application& app
   block_slots_ = std::min(options_.avail_block, options_.slot_cap);
   if (realization_ != nullptr) {
     // Replay windows are RLE expansion plus a copy of precomputed digests.
-    // Expansion costs about what live generation does: both measure about
-    // 1.2 ns per processor-slot at p = 20 on a 4-core avx512 host (live
-    // generation took 13-14 ns before the SIMD kernels, DESIGN.md §7). A
-    // replay window still skips the live path's per-row digest pass, so it
-    // is widened to amortize the per-refill run lookups. Any window size
-    // yields identical results (the window is a view of an immutable
-    // timeline, not a generation step).
+    // Expansion is no longer much cheaper than live generation: at p = 20 on
+    // a 4-core x86-64 host it measures 1.2-1.3 ns per processor-slot against
+    // 2.1-2.4 ns for the AVX2 live path (13-14 ns before the SIMD kernels,
+    // DESIGN.md §7). A replay window also skips the live path's per-row
+    // digest pass, so it is widened to amortize the per-refill run lookups.
+    // Any window size yields identical results (the window is a view of an
+    // immutable timeline, not a generation step).
     block_slots_ = std::min(std::max(options_.avail_block, 1024L), options_.slot_cap);
   }
   const auto p = static_cast<std::size_t>(platform_.size());

@@ -45,14 +45,13 @@ void twist_scalar(std::uint64_t* x, std::uint64_t* out) noexcept {
   for (std::size_t i = 0; i < kN; ++i) out[i] = temper(x[i]);
 }
 
-// The vector kernels process W-word chunks in index order and are exact
-// because each chunk [k, k+W) reads:
-//   * x[k+1 .. k+W] before storing, so x[i+1] is old — lane 311 reads the
+// The vector kernel processes 4-word chunks in index order and is exact
+// because each chunk [k, k+4) reads:
+//   * x[k+1 .. k+4] before storing, so x[i+1] is old — lane 311 reads the
 //     mirror x[312], which holds the new x[0] (stored after chunk 0);
 //   * x[(i+156) % 312] from memory: for k < 156 that is x[k+156 ..], old
-//     words not yet rewritten (the chunk straddling 156 reads x[312 ..],
-//     the mirror of the new x[0 ..]); for k >= 156 it is x[k-156 ..], all
-//     rewritten by earlier chunks.
+//     words not yet rewritten (156 is a multiple of 4, so no chunk straddles
+//     it); for k >= 156 it is x[k-156 ..], all rewritten by earlier chunks.
 #if TCGRID_SIMD_X86
 TCGRID_TARGET_AVX2 void twist_avx2(std::uint64_t* x, std::uint64_t* out) noexcept {
   const __m256i upper = _mm256_set1_epi64x(static_cast<long long>(kUpper));
@@ -83,40 +82,6 @@ TCGRID_TARGET_AVX2 void twist_avx2(std::uint64_t* x, std::uint64_t* out) noexcep
     _mm256_storeu_si256(reinterpret_cast<__m256i*>(out + k), t);
   }
 }
-
-// GCC 12's AVX-512 headers build unary results on a self-initialized
-// _mm512_undefined_epi32(), which -Wuninitialized reports at every inlined
-// use; the value is never read.
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wuninitialized"
-#pragma GCC diagnostic ignored "-Wmaybe-uninitialized"
-TCGRID_TARGET_AVX512 void twist_avx512(std::uint64_t* x, std::uint64_t* out) noexcept {
-  const __m512i upper = _mm512_set1_epi64(static_cast<long long>(kUpper));
-  const __m512i lower = _mm512_set1_epi64(static_cast<long long>(kLower));
-  const __m512i matrix_a = _mm512_set1_epi64(static_cast<long long>(kMatrixA));
-  const __m512i one = _mm512_set1_epi64(1);
-  const __m512i d = _mm512_set1_epi64(static_cast<long long>(kTemperD));
-  const __m512i b = _mm512_set1_epi64(static_cast<long long>(kTemperB));
-  const __m512i c = _mm512_set1_epi64(static_cast<long long>(kTemperC));
-  for (std::size_t k = 0; k < kN; k += 8) {
-    const __m512i cur = _mm512_loadu_si512(x + k);
-    const __m512i next = _mm512_loadu_si512(x + k + 1);
-    const __m512i far = _mm512_loadu_si512(x + (k < kM ? k + kM : k - kM));
-    const __m512i y = _mm512_or_si512(_mm512_and_si512(cur, upper),
-                                      _mm512_and_si512(next, lower));
-    const __m512i mag = _mm512_maskz_mov_epi64(_mm512_test_epi64_mask(y, one), matrix_a);
-    const __m512i v = _mm512_xor_si512(far, _mm512_xor_si512(_mm512_srli_epi64(y, 1), mag));
-    _mm512_storeu_si512(x + k, v);
-    if (k == 0) _mm512_storeu_si512(x + kN, v);
-    __m512i t = v;
-    t = _mm512_xor_si512(t, _mm512_and_si512(_mm512_srli_epi64(t, 29), d));
-    t = _mm512_xor_si512(t, _mm512_and_si512(_mm512_slli_epi64(t, 17), b));
-    t = _mm512_xor_si512(t, _mm512_and_si512(_mm512_slli_epi64(t, 37), c));
-    t = _mm512_xor_si512(t, _mm512_srli_epi64(t, 43));
-    _mm512_storeu_si512(out + k, t);
-  }
-}
-#pragma GCC diagnostic pop
 #endif
 
 }  // namespace
@@ -131,9 +96,7 @@ Mt19937_64::Mt19937_64(result_type seed, SimdKernel kernel)
 
 void Mt19937_64::refill() noexcept {
 #if TCGRID_SIMD_X86
-  if (kernel_ == SimdKernel::Avx512) {
-    twist_avx512(x_.data(), out_.data());
-  } else if (kernel_ == SimdKernel::Avx2) {
+  if (kernel_ == SimdKernel::Avx2) {
     twist_avx2(x_.data(), out_.data());
   } else {
     twist_scalar(x_.data(), out_.data());

@@ -93,7 +93,7 @@ inline constexpr std::uint64_t kU01Top = ~0ULL - 1;
 /// same twist, same tempering), so every std distribution driven by it draws
 /// what it would draw from the standard engine. It is a
 /// UniformRandomBitGenerator. The difference is the refill: when the 312
-/// buffered outputs run out, one pass of the chosen SIMD kernel twists the
+/// buffered outputs run out, one pass of the chosen kernel twists the
 /// whole state and tempers it into an output buffer, and draws are then
 /// served from that buffer — one at a time by operator(), or copied out in
 /// bulk by fill().
@@ -124,10 +124,10 @@ class Mt19937_64 {
   /// Twists the state and tempers it into out_ with kernel_.
   void refill() noexcept;
 
-  /// The 312 MT words plus an 8-word mirror of the new x[0..7], which the
-  /// refill writes once its first chunk is done, so that lanes whose x[i+1]
-  /// or x[(i+156) % 312] wraps past the end read it contiguously.
-  alignas(64) std::array<result_type, state_size + 8> x_{};
+  /// The 312 MT words plus a 4-word mirror of the new x[0..3], which the
+  /// refill writes once its first chunk is done, so that lane 311, whose
+  /// x[i+1] wraps past the end, reads the new x[0] contiguously.
+  alignas(64) std::array<result_type, state_size + 4> x_{};
   alignas(64) std::array<result_type, state_size> out_{};
   std::size_t pos_ = state_size;
   SimdKernel kernel_;

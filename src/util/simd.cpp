@@ -6,20 +6,15 @@ bool simd_kernel_supported(SimdKernel k) noexcept {
   if (k == SimdKernel::Scalar) return true;
 #if TCGRID_SIMD_X86
   __builtin_cpu_init();
-  if (k == SimdKernel::Avx2) return __builtin_cpu_supports("avx2");
-  return __builtin_cpu_supports("avx512f") && __builtin_cpu_supports("avx512bw") &&
-         __builtin_cpu_supports("avx512vl");
+  return __builtin_cpu_supports("avx2");
 #else
   return false;
 #endif
 }
 
 SimdKernel simd_kernel() noexcept {
-  static const SimdKernel kernel = [] {
-    if (simd_kernel_supported(SimdKernel::Avx512)) return SimdKernel::Avx512;
-    if (simd_kernel_supported(SimdKernel::Avx2)) return SimdKernel::Avx2;
-    return SimdKernel::Scalar;
-  }();
+  static const SimdKernel kernel =
+      simd_kernel_supported(SimdKernel::Avx2) ? SimdKernel::Avx2 : SimdKernel::Scalar;
   return kernel;
 }
 

@@ -1,35 +1,34 @@
 // Runtime choice of the SIMD width for the bulk random-number and
 // availability-stepping kernels.
 //
-// Each kernel exists three times: AVX-512 (F/BW/VL), AVX2 and a portable
-// scalar loop. The vector versions are compiled with per-function target
-// attributes, so the library needs no -m flag and runs on any x86-64 (or
-// non-x86) CPU; the widest kernel the host supports is chosen once, at first
-// use, via __builtin_cpu_supports. Every kernel produces bit-identical
-// output — the scalar loop is the reference the tests compare against.
+// Each kernel exists twice: AVX2 and a portable scalar loop. The AVX2
+// version is compiled with a per-function target attribute, so the library
+// needs no -m flag and runs on any x86-64 (or non-x86) CPU; the kernel is
+// chosen once, at first use, via __builtin_cpu_supports. Both produce
+// bit-identical output — the scalar loop is the reference the tests compare
+// against. (An AVX-512 variant measured no end-to-end gain over AVX2 and was
+// dropped; DESIGN.md §7.)
 #pragma once
 
 #include <string_view>
 
 namespace tcgrid::util {
 
-enum class SimdKernel { Scalar, Avx2, Avx512 };
+enum class SimdKernel { Scalar, Avx2 };
 
-inline constexpr SimdKernel kAllSimdKernels[] = {SimdKernel::Scalar, SimdKernel::Avx2,
-                                                 SimdKernel::Avx512};
+inline constexpr SimdKernel kAllSimdKernels[] = {SimdKernel::Scalar, SimdKernel::Avx2};
 
 /// True when `k` is compiled in and the host CPU can run it. Scalar always is.
 [[nodiscard]] bool simd_kernel_supported(SimdKernel k) noexcept;
 
-/// The widest supported kernel; fixed for the process lifetime.
+/// AVX2 when the host supports it, else scalar; fixed for the process lifetime.
 [[nodiscard]] SimdKernel simd_kernel() noexcept;
 
-/// "scalar", "avx2" or "avx512" — the label the metrics scrape and the bench
+/// "scalar" or "avx2" — the label the metrics scrape and the bench
 /// artifacts record.
 [[nodiscard]] constexpr std::string_view to_string(SimdKernel k) noexcept {
   switch (k) {
     case SimdKernel::Avx2: return "avx2";
-    case SimdKernel::Avx512: return "avx512";
     case SimdKernel::Scalar: break;
   }
   return "scalar";
@@ -42,7 +41,6 @@ inline constexpr SimdKernel kAllSimdKernels[] = {SimdKernel::Scalar, SimdKernel:
 #if defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__))
 #define TCGRID_SIMD_X86 1
 #define TCGRID_TARGET_AVX2 __attribute__((target("avx2")))
-#define TCGRID_TARGET_AVX512 __attribute__((target("avx512f,avx512bw,avx512vl")))
 #else
 #define TCGRID_SIMD_X86 0
 #endif

@@ -157,7 +157,7 @@ class MtKernel : public ::testing::TestWithParam<util::SimdKernel> {
 // Draws are taken by operator() and fill() at odd offsets so every refill
 // boundary falls inside a bulk copy. Over 5+ refills this catches a twist
 // that reads the old x[0] in lane 311 (the second refill diverges at its
-// last word), a wrong chunk straddling index 156, and a broken tempering.
+// last word), a wrong far index x[(i+156) % 312], and a broken tempering.
 TEST_P(MtKernel, MatchesStdEngineAcrossRefills) {
   for (const std::uint64_t seed : {0ULL, 5489ULL, ~0ULL}) {
     std::mt19937_64 ref(seed);
