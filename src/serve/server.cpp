@@ -34,17 +34,20 @@ std::string error_line(std::string_view message) {
 
 // ------------------------------------------------------------- state types ----
 
-struct Server::Job {
-  std::string id;
+struct Server::UnitPlan {
   std::string tenant;
   api::ExperimentSpec spec;
-  api::Options options;  ///< spec.options with the tenant's quota clamps
+  api::Options options;  ///< spec.options with the tenant's quota clamp
   std::vector<platform::ScenarioParams> scenarios;
   std::vector<std::string> heuristics;
   std::shared_ptr<const scen::AvailabilityFamily> avail_family;
   std::shared_ptr<const scen::PlatformFamily> plat_family;
   std::size_t trials = 0;
   std::size_t units_total = 0;
+};
+
+struct Server::Job : UnitPlan {
+  std::string id;
 
   enum class State { Queued, Running, Done, Cancelled, Failed };
   State state = State::Queued;
@@ -57,12 +60,12 @@ struct Server::Job {
   std::size_t inflight = 0;
   std::size_t next_scan = 0;  ///< first possibly-pending unit (scan hint)
 
-  // Coordinator-mode dispatch state (empty/null on a plain daemon).
   /// Live leases per unit — at most 2 (the original claim plus one steal).
   /// A kInFlight unit stays in flight until its LAST lease resolves.
   std::vector<std::uint8_t> lease_count;
   /// Canonical spec JSON, attached to the first lease of this job sent on
-  /// each shard connection (see protocol.hpp lease op).
+  /// each shard connection (see protocol.hpp lease op; null on a plain
+  /// daemon, whose leases never leave the process).
   std::shared_ptr<const std::string> spec_json;
 
   std::vector<std::string> rows;  ///< committed rows, completion order
@@ -194,24 +197,35 @@ void Server::load_existing_jobs() {
   }
 }
 
+Server::Tenant& Server::resolve_plan(UnitPlan& plan, const std::string& tenant_name,
+                                     api::ExperimentSpec spec) {
+  plan.tenant = tenant_name;
+  plan.scenarios = spec.scenarios();
+  plan.heuristics = spec.resolved_heuristics();
+  plan.avail_family = scen::availability_family(spec.scenario_space.availability);
+  plan.plat_family = scen::platform_family(spec.scenario_space.platform);
+  plan.trials = static_cast<std::size_t>(spec.trials);
+  plan.units_total = plan.scenarios.size() * plan.trials;
+  plan.options = spec.options;
+  plan.spec = std::move(spec);
+  std::lock_guard<std::mutex> lock(mu_);
+  Tenant& tenant = tenant_for(tenant_name);
+  // Quota clamp: the spec's realization budget never exceeds the tenant's.
+  plan.options.realization_budget =
+      std::min(plan.options.realization_budget, tenant.quota.realization_budget);
+  return tenant;
+}
+
 std::string Server::register_job(const std::string& job_id, const std::string& tenant_name,
                                  api::ExperimentSpec spec,
                                  std::unique_ptr<JobCheckpoint> ckpt, bool fresh) {
   auto job = std::make_shared<Job>();
   job->id = job_id;
-  job->tenant = tenant_name;
-  job->scenarios = spec.scenarios();
-  job->heuristics = spec.resolved_heuristics();
-  job->avail_family = scen::availability_family(spec.scenario_space.availability);
-  job->plat_family = scen::platform_family(spec.scenario_space.platform);
-  job->trials = static_cast<std::size_t>(spec.trials);
-  job->units_total = job->scenarios.size() * job->trials;
+  Tenant& tenant = resolve_plan(*job, tenant_name, std::move(spec));
   job->unit_state.assign(job->units_total, Job::kPending);
-  job->options = spec.options;
-  job->spec = std::move(spec);
+  job->lease_count.assign(job->units_total, 0);
   job->ckpt = std::move(ckpt);
   if (options_.coordinator) {
-    job->lease_count.assign(job->units_total, 0);
     job->spec_json =
         std::make_shared<const std::string>(json::dump(api::spec_to_json(job->spec)));
   }
@@ -232,14 +246,10 @@ std::string Server::register_job(const std::string& job_id, const std::string& t
   job->row_publish_us.assign(job->rows.size(), obs::steady_now_us());
 
   std::lock_guard<std::mutex> lock(mu_);
-  Tenant& tenant = tenant_for(tenant_name);
   job->stream_latency_us = tenant.stream_latency_us;
   tenant.jobs += 1;
   tenant.units_done += job->units_done;
   tenant.rows += job->rows.size();
-  // Quota clamp: the spec's realization budget never exceeds the tenant's.
-  job->options.realization_budget =
-      std::min(job->options.realization_budget, tenant.quota.realization_budget);
   if (job->units_done == job->units_total) job->state = Job::State::Done;
   else if (cancelled) job->state = Job::State::Cancelled;
   else job->state = job->units_done > 0 ? Job::State::Running : Job::State::Queued;
@@ -255,15 +265,19 @@ std::string Server::register_job(const std::string& job_id, const std::string& t
 // ----------------------------------------------------------- fleet gauges ----
 
 Server::FleetState Server::fleet_state() const {
+  // Every in-flight unit of a plain daemon is held by exactly one local
+  // worker (workers never steal, and nothing else claims), so the units in
+  // flight across ALL jobs — a failed job's stragglers too — count the busy
+  // workers. A coordinator's leases are held by shard slots instead.
   FleetState fs;
   for (const auto& [id, job] : jobs_) {
+    if (!options_.coordinator) fs.busy_workers += job->inflight;
     if (job->terminal()) continue;
     fs.inflight_units += job->inflight;
     if (!job->cancel_requested) {
       fs.queue_depth += job->units_total - job->units_done - job->inflight;
     }
   }
-  fs.busy_workers = busy_workers_;
   return fs;
 }
 
@@ -277,7 +291,7 @@ void Server::update_fleet_gauges() {
 
 // ------------------------------------------------------------ worker fleet ----
 
-std::shared_ptr<Server::Job> Server::claim_unit(std::size_t& unit_out) {
+std::optional<Server::Lease> Server::claim_unit() {
   // Round-robin over jobs in submission order: each call resumes after the
   // job served last, so many concurrent jobs (and tenants) interleave
   // fairly instead of the first job monopolizing the fleet.
@@ -293,15 +307,35 @@ std::shared_ptr<Server::Job> Server::claim_unit(std::size_t& unit_out) {
       ++job->next_scan;
     }
     if (job->next_scan >= job->units_total) continue;
-    unit_out = job->next_scan;
-    job->unit_state[unit_out] = Job::kInFlight;
-    job->inflight += 1;
-    tenant.inflight += 1;
-    if (job->state == Job::State::Queued) job->state = Job::State::Running;
     rr_cursor_ = (idx + 1) % n;
-    return job;
+    return claim_locked(job, tenant, job->next_scan);
   }
-  return nullptr;
+  return std::nullopt;
+}
+
+Server::Lease Server::claim_locked(const std::shared_ptr<Job>& job, Tenant& tenant,
+                                   std::size_t unit) {
+  job->unit_state[unit] = Job::kInFlight;
+  job->lease_count[unit] = 1;
+  job->inflight += 1;
+  tenant.inflight += 1;
+  if (job->state == Job::State::Queued) job->state = Job::State::Running;
+  return make_lease(job, unit, /*stolen=*/false);
+}
+
+void Server::drop_lease_locked(Job& job, std::size_t unit) {
+  if (job.unit_state[unit] != Job::kInFlight) return;  // already committed
+  if (job.lease_count[unit] > 1) {
+    // The other lease of this unit is still live — it finishes or expires
+    // on its own; the unit stays in flight.
+    job.lease_count[unit] -= 1;
+    return;
+  }
+  job.lease_count[unit] = 0;
+  job.unit_state[unit] = Job::kPending;  // dropped, not committed
+  job.next_scan = std::min(job.next_scan, unit);
+  job.inflight -= 1;
+  tenants_[job.tenant]->inflight -= 1;
 }
 
 bool Server::evict_if_drained(Tenant& tenant) {
@@ -323,7 +357,7 @@ bool Server::evict_if_drained(Tenant& tenant) {
   return true;
 }
 
-// ------------------------------------------- coordinator dispatch surface ----
+// -------------------------------------------------- unit dispatch surface ----
 
 Server::Lease Server::make_lease(const std::shared_ptr<Job>& job, std::size_t unit,
                                  bool stolen) {
@@ -345,7 +379,7 @@ std::optional<Server::Lease> Server::steal_locked() {
   for (std::size_t step = 0; step < n; ++step) {
     const std::size_t idx = (rr_cursor_ + step) % n;
     const std::shared_ptr<Job>& job = jobs_[job_order_[idx]];
-    if (job->terminal() || job->cancel_requested || job->lease_count.empty()) continue;
+    if (job->terminal() || job->cancel_requested) continue;
     for (std::size_t u = 0; u < job->units_total; ++u) {
       if (job->unit_state[u] == Job::kInFlight && job->lease_count[u] == 1) {
         job->lease_count[u] = 2;
@@ -356,33 +390,17 @@ std::optional<Server::Lease> Server::steal_locked() {
   return std::nullopt;
 }
 
-std::optional<Server::Lease> Server::claim_locked(bool allow_steal) {
-  std::size_t unit = 0;
-  if (std::shared_ptr<Job> job = claim_unit(unit)) {
-    if (!job->lease_count.empty()) job->lease_count[unit] = 1;
-    return make_lease(job, unit, /*stolen=*/false);
-  }
-  return allow_steal ? steal_locked() : std::nullopt;
-}
-
 std::optional<Server::Lease> Server::claim_for_dispatch(bool allow_steal) {
   std::unique_lock<std::mutex> lock(mu_);
   std::optional<Lease> lease;
   work_cv_.wait(lock, [&] {
     if (stopping_) return true;
-    lease = claim_locked(allow_steal);
+    lease = claim_unit();
+    if (!lease.has_value() && allow_steal) lease = steal_locked();
     return lease.has_value();
   });
   if (!lease.has_value()) return std::nullopt;  // woken by stop
   update_fleet_gauges();
-  return lease;
-}
-
-std::optional<Server::Lease> Server::try_claim_for_dispatch() {
-  std::lock_guard<std::mutex> lock(mu_);
-  if (stopping_) return std::nullopt;
-  std::optional<Lease> lease = claim_locked(/*allow_steal=*/false);
-  if (lease.has_value()) update_fleet_gauges();
   return lease;
 }
 
@@ -398,100 +416,128 @@ std::optional<Server::Lease> Server::try_claim_sibling(const Lease& held) {
   const std::size_t hi = std::min(lo + job->trials, job->units_total);
   for (std::size_t u = lo; u < hi; ++u) {
     if (job->unit_state[u] != Job::kPending) continue;
-    job->unit_state[u] = Job::kInFlight;
-    job->inflight += 1;
-    tenant.inflight += 1;
-    if (!job->lease_count.empty()) job->lease_count[u] = 1;
-    if (job->state == Job::State::Queued) job->state = Job::State::Running;
+    Lease lease = claim_locked(job, tenant, u);
     update_fleet_gauges();
-    return make_lease(job, u, /*stolen=*/false);
+    return lease;
   }
   return std::nullopt;
 }
 
-Server::RemoteCommit Server::commit_remote_unit(const Lease& lease,
-                                                std::vector<std::string> rows,
-                                                std::uint64_t claimed_us) {
+std::vector<std::string> Server::execute_unit(Tenant& tenant, const UnitPlan& plan,
+                                              std::size_t unit) {
+  const std::size_t sc = api::unit_scenario(unit, plan.trials);
+  const int trial = static_cast<int>(api::unit_trial(unit, plan.trials));
+  const std::vector<sim::SimulationResult> results = tenant.session->run_unit(
+      plan.options, *plan.avail_family, plan.plat_family, plan.scenarios[sc],
+      plan.heuristics, trial);
+  std::vector<std::string> rows;
+  rows.reserve(results.size());
+  for (std::size_t h = 0; h < results.size(); ++h) {
+    rows.push_back(row_line(sc, trial, h, plan.heuristics[h],
+                            plan.spec.scenario_space.availability, plan.scenarios[sc],
+                            results[h]));
+  }
+  return rows;
+}
+
+void Server::unit_done_locked(Tenant& tenant, std::size_t rows) {
+  tenant.inflight -= 1;
+  tenant.units_done += 1;
+  tenant.rows += rows;
+  // The store can overshoot by at most the in-flight units' growth. A
+  // coordinator's tenant sessions run nothing, so their stores stay empty
+  // and never drain — DRAINING happens on the shards.
+  if (tenant.draining) return;
+  const std::size_t store_bytes = tenant.session->chain_store_counters().bytes;
+  if (store_bytes <= tenant.quota.chain_store_bytes) return;
+  tenant.draining = true;
+  if (obs::Tracer::instance().active()) {
+    obs::Tracer::instance().emit(
+        "serve_drain_start",
+        {{"tenant", tenant.name},
+         {"chain_store_bytes", static_cast<unsigned long long>(store_bytes)}});
+  }
+}
+
+Server::Commit Server::commit_unit(const Lease& lease, std::vector<std::string> rows,
+                                   std::uint64_t claimed_us) {
   const std::shared_ptr<Job>& job = lease.job;
-  std::lock_guard<std::mutex> io_lock(job->io_mutex);
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    // Abandon instead of committing once stopping: hard_stop() promises
-    // kill -9 semantics (nothing new becomes durable after it returns —
-    // the fleet threads are joined before hard_stop returns).
-    if (stopping_) return RemoteCommit::Stopped;
-    if (job->unit_state[lease.unit] == Job::kDone) {
-      // A racing lease of this unit won. kDone is authoritative here: the
-      // winner set it before releasing io_mutex, so holding io_mutex and
-      // NOT seeing kDone means no other commit of the unit can exist. The
-      // dropped rows are byte-identical to the committed ones by purity.
-      return RemoteCommit::Duplicate;
-    }
-  }
-  try {
-    job->ckpt->commit_unit(lease.unit, rows);
-  } catch (const std::exception& e) {
-    fail_lease(lease, std::string("checkpoint write failed: ") + e.what());
-    return RemoteCommit::Failed;
-  }
+  Tenant* tenant = nullptr;
   std::uint64_t service_us = 0;
-  if (claimed_us != 0) service_us = obs::steady_now_us() - claimed_us;
-  const std::size_t row_count = rows.size();
+  bool job_completed = false;
   {
+    std::lock_guard<std::mutex> io_lock(job->io_mutex);
+    {
+      std::lock_guard<std::mutex> lock(mu_);
+      // Abandon instead of committing once stopping: hard_stop() promises
+      // kill -9 semantics (nothing new becomes durable after it returns —
+      // every lease holder is joined before hard_stop returns).
+      if (stopping_) return Commit::Stopped;
+      if (job->unit_state[lease.unit] == Job::kDone) {
+        // A racing lease of this unit won. kDone is authoritative here: the
+        // winner set it before releasing io_mutex, so holding io_mutex and
+        // NOT seeing kDone means no other commit of the unit can exist. The
+        // dropped rows are byte-identical to the committed ones by purity.
+        return Commit::Duplicate;
+      }
+    }
+    try {
+      job->ckpt->commit_unit(lease.unit, rows);
+    } catch (const std::exception& e) {
+      fail_lease(lease, std::string("checkpoint write failed: ") + e.what());
+      return Commit::Failed;
+    }
+    // Unit service time: claim to durable commit (the fsync is in; the rows
+    // become visible to readers a few instructions later).
+    if (claimed_us != 0) service_us = obs::steady_now_us() - claimed_us;
     // Publish while still holding io_mutex so the in-memory row order
-    // matches rows.jsonl's commit order exactly — the merge layer keeps
-    // the `results --from=N` offset invariant (DESIGN.md §15).
+    // matches rows.jsonl's commit order exactly — `results --from=N`
+    // offsets must index the same sequence before and after a restart
+    // (which rebuilds job->rows in file order; DESIGN.md §11, §15).
     std::lock_guard<std::mutex> lock(mu_);
-    Tenant& tenant = *tenants_[job->tenant];
+    tenant = tenants_[job->tenant].get();
     job->inflight -= 1;
-    tenant.inflight -= 1;
     job->unit_state[lease.unit] = Job::kDone;
-    if (!job->lease_count.empty()) job->lease_count[lease.unit] = 0;
+    job->lease_count[lease.unit] = 0;
     job->units_done += 1;
+    unit_done_locked(*tenant, rows.size());
     const std::uint64_t now_us = obs::steady_now_us();
     for (std::string& row : rows) {
       job->rows.push_back(std::move(row));
       job->row_publish_us.push_back(now_us);
     }
-    tenant.units_done += 1;
-    tenant.rows += row_count;
-    if (claimed_us != 0) tenant.unit_service_us.observe(service_us);
+    if (claimed_us != 0) tenant->unit_service_us.observe(service_us);
     if (job->units_done == job->units_total && !job->terminal()) {
       job->state = Job::State::Done;
+      job_completed = true;
     }
-    // No chain-store quota check: coordinator tenant sessions never run
-    // units, so their stores stay empty — DRAINING happens on the shards.
     finalize_if_drained(*job);
     update_fleet_gauges();
     rows_cv_.notify_all();
     work_cv_.notify_all();
   }
   if (obs::Tracer::instance().active()) {
+    // Outside every lock: the tracer's file write must not stall the fleet.
     obs::Tracer::instance().emit(
-        "coord_commit", {{"job", job->id},
-                         {"unit", static_cast<unsigned long long>(lease.unit)},
-                         {"stolen", lease.stolen},
-                         {"us", static_cast<unsigned long long>(service_us)}});
+        "serve_unit", {{"job", job->id},
+                       {"tenant", job->tenant},
+                       {"unit", static_cast<unsigned long long>(lease.unit)},
+                       {"stolen", lease.stolen},
+                       {"us", static_cast<unsigned long long>(service_us)}});
   }
-  return RemoteCommit::Committed;
+  // Job completion is a quiesce point of the persistent store (DESIGN.md
+  // §14): persist what this sweep interned while it is all still hot.
+  // Outside every lock — the flush serializes internally and snapshots
+  // entries other tenants' units may still be appending to.
+  if (job_completed) tenant->session->flush_store();
+  return Commit::Committed;
 }
 
 void Server::return_lease(const Lease& lease) {
   std::lock_guard<std::mutex> lock(mu_);
-  const std::shared_ptr<Job>& job = lease.job;
-  if (job->unit_state[lease.unit] != Job::kInFlight) return;  // already committed
-  if (!job->lease_count.empty() && job->lease_count[lease.unit] > 1) {
-    // The other lease of this unit is still live — it finishes or expires
-    // on its own; the unit stays in flight.
-    job->lease_count[lease.unit] -= 1;
-    return;
-  }
-  if (!job->lease_count.empty()) job->lease_count[lease.unit] = 0;
-  job->unit_state[lease.unit] = Job::kPending;
-  job->next_scan = std::min(job->next_scan, lease.unit);
-  job->inflight -= 1;
-  tenants_[job->tenant]->inflight -= 1;
-  finalize_if_drained(*job);
+  Job& job = *lease.job;
+  drop_lease_locked(job, lease.unit);
+  finalize_if_drained(job);
   update_fleet_gauges();
   work_cv_.notify_all();
   rows_cv_.notify_all();
@@ -499,23 +545,13 @@ void Server::return_lease(const Lease& lease) {
 
 void Server::fail_lease(const Lease& lease, const std::string& error) {
   std::lock_guard<std::mutex> lock(mu_);
-  const std::shared_ptr<Job>& job = lease.job;
-  if (job->unit_state[lease.unit] == Job::kInFlight) {
-    if (!job->lease_count.empty() && job->lease_count[lease.unit] > 1) {
-      job->lease_count[lease.unit] -= 1;
-    } else {
-      if (!job->lease_count.empty()) job->lease_count[lease.unit] = 0;
-      job->unit_state[lease.unit] = Job::kPending;  // dropped, not committed
-      job->next_scan = std::min(job->next_scan, lease.unit);
-      job->inflight -= 1;
-      tenants_[job->tenant]->inflight -= 1;
-    }
+  Job& job = *lease.job;
+  drop_lease_locked(job, lease.unit);
+  if (!job.terminal()) {
+    job.state = Job::State::Failed;
+    job.error = error;
   }
-  if (!job->terminal()) {
-    job->state = Job::State::Failed;
-    job->error = error;
-  }
-  finalize_if_drained(*job);
+  finalize_if_drained(job);
   update_fleet_gauges();
   rows_cv_.notify_all();
   work_cv_.notify_all();
@@ -532,142 +568,23 @@ void Server::finalize_if_drained(Job& job) {
 }
 
 void Server::worker_loop() {
-  while (true) {
-    std::shared_ptr<Job> job;
-    std::size_t unit = 0;
-    {
-      std::unique_lock<std::mutex> lock(mu_);
-      work_cv_.wait(lock, [&] {
-        if (stopping_) return true;
-        job = claim_unit(unit);
-        return job != nullptr;
-      });
-      if (stopping_) return;
-      busy_workers_ += 1;
-      update_fleet_gauges();
-    }
+  // A local worker is an in-process lease holder: it claims (never steals,
+  // so every unit it holds is its alone), runs the unit itself and commits
+  // through the same call a shard slot uses.
+  while (std::optional<Lease> lease = claim_for_dispatch(/*allow_steal=*/false)) {
     const std::uint64_t claimed_us = obs::enabled() ? obs::steady_now_us() : 0;
-
-    const std::size_t sc = api::unit_scenario(unit, job->trials);
-    const int trial = static_cast<int>(api::unit_trial(unit, job->trials));
     Tenant& tenant = [&]() -> Tenant& {
       std::lock_guard<std::mutex> lock(mu_);
-      return *tenants_[job->tenant];
+      return *tenants_[lease->tenant];
     }();
-
-    std::vector<std::string> unit_rows;
-    bool failed = false;
-    std::string error;
+    std::vector<std::string> rows;
     try {
-      const std::vector<sim::SimulationResult> results = tenant.session->run_unit(
-          job->options, *job->avail_family, job->plat_family, job->scenarios[sc],
-          job->heuristics, trial);
-      unit_rows.reserve(results.size());
-      for (std::size_t h = 0; h < results.size(); ++h) {
-        unit_rows.push_back(row_line(sc, trial, h, job->heuristics[h],
-                                     job->spec.scenario_space.availability,
-                                     job->scenarios[sc], results[h]));
-      }
+      rows = execute_unit(tenant, *lease->job, lease->unit);
     } catch (const std::exception& e) {
-      failed = true;
-      error = e.what();
+      fail_lease(*lease, e.what());
+      continue;
     }
-
-    bool published = false;
-    bool job_completed = false;
-    if (!failed) {
-      // Abandon instead of committing once stopping: hard_stop() promises
-      // kill -9 semantics (nothing new becomes durable after it returns).
-      {
-        std::lock_guard<std::mutex> lock(mu_);
-        if (stopping_) return;
-      }
-      std::lock_guard<std::mutex> io_lock(job->io_mutex);
-      try {
-        job->ckpt->commit_unit(unit, unit_rows);
-      } catch (const std::exception& e) {
-        failed = true;
-        error = std::string("checkpoint write failed: ") + e.what();
-      }
-      // Unit service time: claim to durable commit (the fsync is in; the
-      // rows become visible to readers a few instructions later).
-      std::uint64_t service_us = 0;
-      if (!failed) {
-        if (claimed_us != 0) service_us = obs::steady_now_us() - claimed_us;
-        // Publish while still holding io_mutex so the in-memory row order
-        // matches rows.jsonl's commit order exactly — `results --from=N`
-        // offsets must index the same sequence before and after a daemon
-        // restart (which rebuilds job->rows in file order).
-        std::lock_guard<std::mutex> lock(mu_);
-        job->inflight -= 1;
-        tenant.inflight -= 1;
-        busy_workers_ -= 1;
-        job->unit_state[unit] = Job::kDone;
-        job->units_done += 1;
-        const std::uint64_t now_us = obs::steady_now_us();
-        for (std::string& row : unit_rows) {
-          job->rows.push_back(std::move(row));
-          job->row_publish_us.push_back(now_us);
-        }
-        tenant.units_done += 1;
-        tenant.rows += unit_rows.size();
-        if (claimed_us != 0) tenant.unit_service_us.observe(service_us);
-        if (job->units_done == job->units_total && !job->terminal()) {
-          job->state = Job::State::Done;
-          job_completed = true;
-        }
-        // Quota check at the only safe boundary: a completed unit. The
-        // store can overshoot by at most the in-flight units' growth.
-        if (!tenant.draining &&
-            tenant.session->chain_store_counters().bytes > tenant.quota.chain_store_bytes) {
-          tenant.draining = true;
-          if (obs::Tracer::instance().active()) {
-            obs::Tracer::instance().emit(
-                "serve_drain_start",
-                {{"tenant", tenant.name},
-                 {"chain_store_bytes",
-                  static_cast<unsigned long long>(
-                      tenant.session->chain_store_counters().bytes)}});
-          }
-        }
-        finalize_if_drained(*job);
-        update_fleet_gauges();
-        rows_cv_.notify_all();
-        work_cv_.notify_all();
-        published = true;
-      }
-      if (published && obs::Tracer::instance().active()) {
-        // Outside mu_: the tracer's file write must not stall the fleet.
-        obs::Tracer::instance().emit(
-            "serve_unit", {{"job", job->id},
-                           {"tenant", job->tenant},
-                           {"unit", static_cast<unsigned long long>(unit)},
-                           {"us", static_cast<unsigned long long>(service_us)}});
-      }
-    }
-
-    // Job completion is a quiesce point of the persistent store (DESIGN.md
-    // §14): persist what this sweep interned while it is all still hot.
-    // Outside every lock — the flush serializes internally and snapshots
-    // entries other tenants' units may still be appending to.
-    if (job_completed) tenant.session->flush_store();
-
-    if (!published) {
-      std::lock_guard<std::mutex> lock(mu_);
-      job->inflight -= 1;
-      tenant.inflight -= 1;
-      busy_workers_ -= 1;
-      if (!job->terminal()) {
-        job->state = Job::State::Failed;
-        job->error = error;
-      }
-      job->unit_state[unit] = Job::kPending;  // dropped, not committed
-      job->next_scan = std::min(job->next_scan, unit);
-      finalize_if_drained(*job);
-      update_fleet_gauges();
-      rows_cv_.notify_all();
-      work_cv_.notify_all();
-    }
+    if (commit_unit(*lease, std::move(rows), claimed_us) == Commit::Stopped) return;
   }
 }
 
@@ -1049,22 +966,6 @@ std::string Server::handle_register(const json::Value& req) {
   });
 }
 
-/// Everything handle_lease resolves once per (connection, job ref): the
-/// validated spec and its derived execution state — the same fields a local
-/// Job carries, minus checkpoint/dispatch bookkeeping (lease units are NOT
-/// checkpointed here; durability lives in the coordinator's merge log).
-struct Server::LeaseContext {
-  std::string tenant;
-  api::ExperimentSpec spec;
-  api::Options options;  ///< spec.options with the tenant's quota clamp
-  std::vector<platform::ScenarioParams> scenarios;
-  std::vector<std::string> heuristics;
-  std::shared_ptr<const scen::AvailabilityFamily> avail_family;
-  std::shared_ptr<const scen::PlatformFamily> plat_family;
-  std::size_t trials = 0;
-  std::size_t units_total = 0;
-};
-
 void Server::handle_lease(const json::Value& req, util::LineChannel& ch,
                           LeaseCache& cache) {
   const json::Value* job_v = req.find("job");
@@ -1085,9 +986,11 @@ void Server::handle_lease(const json::Value& req, util::LineChannel& ch,
     return;
   }
 
-  std::shared_ptr<LeaseContext> ctx;
-  if (const auto it = cache.find(ref); it != cache.end()) ctx = it->second;
-  if (ctx == nullptr) {
+  // Lease units are NOT checkpointed here: durability lives in the
+  // coordinator's merge log, so the plan carries no Job bookkeeping.
+  std::shared_ptr<const UnitPlan> plan;
+  if (const auto it = cache.find(ref); it != cache.end()) plan = it->second;
+  if (plan == nullptr) {
     const json::Value* spec_v = req.find("spec");
     if (spec_v == nullptr) {
       // Machine-readable cue: the coordinator resends with the spec
@@ -1098,57 +1001,44 @@ void Server::handle_lease(const json::Value& req, util::LineChannel& ch,
           {"need_spec", true}}));
       return;
     }
-    auto fresh = std::make_shared<LeaseContext>();
+    api::ExperimentSpec spec;
     try {
-      fresh->spec = api::spec_from_json(*spec_v);
-      fresh->spec.validate();
+      spec = api::spec_from_json(*spec_v);
+      spec.validate();
     } catch (const std::invalid_argument& e) {
       ch.write_line(error_line(e.what()));
       return;
     }
-    if (std::string gate = spec_gate_error(fresh->spec); !gate.empty()) {
+    if (std::string gate = spec_gate_error(spec); !gate.empty()) {
       ch.write_line(error_line(gate));
       return;
     }
-    fresh->tenant = tenant_v->as_string();
-    fresh->scenarios = fresh->spec.scenarios();
-    fresh->heuristics = fresh->spec.resolved_heuristics();
-    fresh->avail_family = scen::availability_family(fresh->spec.scenario_space.availability);
-    fresh->plat_family = scen::platform_family(fresh->spec.scenario_space.platform);
-    fresh->trials = static_cast<std::size_t>(fresh->spec.trials);
-    fresh->units_total = fresh->scenarios.size() * fresh->trials;
-    fresh->options = fresh->spec.options;
-    {
-      // The tenant's realization-budget quota clamps lease work exactly as
-      // it clamps locally submitted jobs.
-      std::lock_guard<std::mutex> lock(mu_);
-      Tenant& tenant = tenant_for(fresh->tenant);
-      fresh->options.realization_budget =
-          std::min(fresh->options.realization_budget, tenant.quota.realization_budget);
-    }
-    cache.emplace(ref, fresh);
-    ctx = std::move(fresh);
+    auto fresh = std::make_shared<UnitPlan>();
+    resolve_plan(*fresh, tenant_v->as_string(), std::move(spec));
+    plan = cache.emplace(ref, std::move(fresh)).first->second;
   }
 
   std::vector<std::size_t> units;
   units.reserve(units_v->as_array().size());
   for (const json::Value& u : units_v->as_array()) {
-    if (!u.is_integer() || u.as_uint() >= ctx->units_total) {
+    if (!u.is_integer() || u.as_uint() >= plan->units_total) {
       ch.write_line(error_line("units: unit id out of range for the lease spec"));
       return;
     }
     units.push_back(static_cast<std::size_t>(u.as_uint()));
   }
 
+  Tenant* tenant = nullptr;
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    tenant = &tenant_for(tenant_v->as_string());
+  }
   // Execute on THIS handler thread: the coordinator opens one connection
   // per lease slot, so a shard's parallelism equals the slot count and the
   // per-thread estimator caches stay warm per slot (DESIGN.md §15).
   for (std::size_t unit : units) {
-    Tenant* tenant = nullptr;
     {
       std::unique_lock<std::mutex> lock(mu_);
-      if (stopping_) return;
-      tenant = &tenant_for(tenant_v->as_string());
       // Quota DRAINING gate, same boundary as claim_unit: clear_caches is
       // safe only with nothing of this tenant running, and tenant.inflight
       // counts lease units too.
@@ -1156,45 +1046,19 @@ void Server::handle_lease(const json::Value& req, util::LineChannel& ch,
       if (stopping_) return;
       tenant->inflight += 1;
     }
-    const std::size_t sc = api::unit_scenario(unit, ctx->trials);
-    const int trial = static_cast<int>(api::unit_trial(unit, ctx->trials));
-    std::vector<std::string> unit_rows;
+    std::vector<std::string> rows;
     bool failed = false;
     std::string error;
     try {
-      const std::vector<sim::SimulationResult> results = tenant->session->run_unit(
-          ctx->options, *ctx->avail_family, ctx->plat_family, ctx->scenarios[sc],
-          ctx->heuristics, trial);
-      unit_rows.reserve(results.size());
-      for (std::size_t h = 0; h < results.size(); ++h) {
-        unit_rows.push_back(row_line(sc, trial, h, ctx->heuristics[h],
-                                     ctx->spec.scenario_space.availability,
-                                     ctx->scenarios[sc], results[h]));
-      }
+      rows = execute_unit(*tenant, *plan, unit);
     } catch (const std::exception& e) {
       failed = true;
       error = e.what();
     }
     {
       std::lock_guard<std::mutex> lock(mu_);
-      tenant->inflight -= 1;
-      if (!failed) {
-        tenant->units_done += 1;
-        tenant->rows += unit_rows.size();
-        // Quota check at the completed-unit boundary, like the local fleet.
-        if (!tenant->draining && tenant->session->chain_store_counters().bytes >
-                                     tenant->quota.chain_store_bytes) {
-          tenant->draining = true;
-          if (obs::Tracer::instance().active()) {
-            obs::Tracer::instance().emit(
-                "serve_drain_start",
-                {{"tenant", tenant->name},
-                 {"chain_store_bytes",
-                  static_cast<unsigned long long>(
-                      tenant->session->chain_store_counters().bytes)}});
-          }
-        }
-      }
+      if (failed) tenant->inflight -= 1;
+      else unit_done_locked(*tenant, rows.size());
       work_cv_.notify_all();
     }
     if (failed) {
@@ -1208,10 +1072,10 @@ void Server::handle_lease(const json::Value& req, util::LineChannel& ch,
     std::string header = "{\"ok\":true,\"type\":\"unit\",\"unit\":";
     header += std::to_string(unit);
     header += ",\"rows\":";
-    header += std::to_string(unit_rows.size());
+    header += std::to_string(rows.size());
     header += '}';
     if (!ch.write_line(header)) return;  // coordinator gone; rows re-run elsewhere
-    for (const std::string& row : unit_rows) {
+    for (const std::string& row : rows) {
       if (!ch.write_line(row)) return;
     }
   }

@@ -3,10 +3,17 @@
 // A Server is the long-lived core of the tcgrid_serve daemon: it accepts
 // experiment specs over the newline-delimited-JSON protocol
 // (serve/protocol.hpp), schedules (scenario, trial) units from many
-// concurrent jobs fairly (round-robin across jobs) over one process-level
-// worker fleet, streams completed result rows back incrementally, enforces
-// per-tenant quotas, and checkpoints every completed unit so a killed
-// daemon resumes where it stopped (serve/checkpoint.hpp).
+// concurrent jobs fairly (round-robin across jobs), streams completed result
+// rows back incrementally, enforces per-tenant quotas, and checkpoints every
+// completed unit so a killed daemon resumes where it stopped
+// (serve/checkpoint.hpp).
+//
+// One unit state machine. Every unit lives the same life: a lease holder
+// claims it (claim_for_dispatch), runs it, and commits its rows durably
+// exactly once (commit_unit) or fails it (fail_lease). The local worker
+// threads are in-process lease holders that run each unit themselves
+// (execute_unit); on a coordinator the holders are shard slots that run it
+// on a remote daemon (serve/shard.hpp). Both commit through the same call.
 //
 // Tenancy. Each tenant owns one persistent api::Session — the process-level
 // retention that makes repeated submissions cheap (warm per-thread
@@ -24,12 +31,12 @@
 //     nothing of that tenant is running) and dispatch resumes. Jobs always
 //     run to completion; the quota trades warmth, not correctness.
 //
-// Concurrency. One mutex guards all queue/job/tenant state; workers hold it
-// only to claim and publish units, never while simulating. Checkpoint
-// appends are serialized per job by a separate per-job mutex. Connection
-// handlers (one thread per accepted socket) touch state under the same
-// mutex and block streaming `results` readers on a condition variable fed
-// by row publication.
+// Concurrency. One mutex guards all queue/job/tenant state; lease holders
+// take it only to claim and publish units, never while simulating.
+// Checkpoint appends are serialized per job by a separate per-job mutex.
+// Connection handlers (one thread per accepted socket) touch state under the
+// same mutex and block streaming `results` readers on a condition variable
+// fed by row publication.
 #pragma once
 
 #include <condition_variable>
@@ -63,27 +70,17 @@ struct TenantQuota {
 };
 
 /// Knobs of the coordinator's shard fleet (DESIGN.md §15). Only read when
-/// ServerOptions::coordinator is true.
+/// ServerOptions::coordinator is true. Each shard gets one lease slot per
+/// worker thread it advertises at registration; a slot holds leases exactly
+/// as a local worker thread does, except that it ships each claimed unit to
+/// its shard instead of running it. A slot's batch is one fresh unit plus
+/// the remaining pending trials of its scenario (Server::try_claim_sibling),
+/// and an idle slot steals an in-flight unit when nothing is pending.
 struct ShardOptions {
   /// Shard daemon addresses: a unix socket path, "unix:PATH" or
   /// "tcp:HOST:PORT". More shards can join at runtime via the `register`
   /// verb with a "shard" field.
   std::vector<std::string> shards;
-  /// Concurrent lease slots per shard; 0 sizes the pool from the shard's
-  /// registered worker-thread count (its --threads).
-  std::size_t slots_per_shard = 0;
-  /// Fresh units per lease request. 1 (the default) is maximal
-  /// work-stealing: every unit is pulled the moment a slot idles, so
-  /// stragglers never hold queued work hostage. Larger batches amortize
-  /// round trips at the cost of tail balance. Independently of this knob a
-  /// batch always absorbs the remaining pending trials of each claimed
-  /// scenario (Server::try_claim_sibling) — whole scenarios travel to one
-  /// shard so its per-scenario estimator cache is built once.
-  std::size_t lease_batch = 1;
-  /// Duplicate-dispatch an in-flight unit to an idle slot when nothing is
-  /// pending (classic tail stealing; the first completion wins, the loser
-  /// commits nothing).
-  bool steal = true;
   long heartbeat_interval_ms = 1000;  ///< monitor probe period
   long heartbeat_timeout_ms = 5000;   ///< missed-pong deadline -> leases expire
 };
@@ -158,58 +155,56 @@ class Server {
   /// Idempotent.
   void hard_stop();
 
-  // ------------------------------------- coordinator dispatch surface ----
-  // Used by ShardFleet's slot threads (and driven directly by the shard
-  // tests). A Lease is one claimed unit: the coordinator-side claim ticket
-  // whose completion — rows from ANY shard holding a lease on the unit —
-  // commits through commit_remote_unit. Job is opaque outside this class;
+  // ------------------------------------------------- unit dispatch surface ----
+  // Used by the local worker threads, by ShardFleet's slot threads, and
+  // driven directly by the shard tests. A Lease is one claimed unit: the
+  // claim ticket whose completion — rows from ANY holder of a lease on the
+  // unit — commits through commit_unit. Job is opaque outside this class;
   // the handle only keeps the job alive and identifies it on re-entry.
 
   struct Lease {
     std::shared_ptr<Job> job;  ///< opaque; pass back unchanged
     std::string job_id;
     std::string tenant;
-    /// Canonical spec JSON (api::spec_to_json dump) to attach to the first
-    /// lease of this job on a shard connection.
+    /// Canonical spec JSON (api::spec_to_json dump) that a shard slot
+    /// attaches to the first lease of this job on a shard connection.
     std::shared_ptr<const std::string> spec_json;
     std::size_t unit = 0;
     bool stolen = false;  ///< duplicate-dispatch of an in-flight unit
   };
 
-  /// Block until a unit is dispatchable (round-robin fair across jobs, same
-  /// policy as the local fleet) or the server stops (nullopt). When nothing
-  /// is pending and `allow_steal`, duplicate-claims an in-flight unit with
-  /// a single live lease instead of waiting — tail stealing.
+  /// Block until a unit is dispatchable (round-robin fair across jobs) or
+  /// the server stops (nullopt). When nothing is pending and `allow_steal`,
+  /// duplicate-claims an in-flight unit with a single live lease instead of
+  /// waiting — tail stealing. Local workers never steal.
   [[nodiscard]] std::optional<Lease> claim_for_dispatch(bool allow_steal);
-  /// Non-blocking claim (never steals) — lease-batch extension.
-  [[nodiscard]] std::optional<Lease> try_claim_for_dispatch();
   /// Non-blocking claim of a pending unit from the SAME job and scenario as
   /// a lease this caller already holds (never steals). Scenario-affine
   /// dispatch: a scenario's estimator is cached per serving thread and is
   /// the dominant cost of a unit (api::Session), so splitting one
   /// scenario's trials across shards re-pays that build on every shard.
-  /// ShardFleet extends each lease batch with siblings first so whole
-  /// scenarios travel together.
+  /// ShardFleet extends each lease batch with siblings so whole scenarios
+  /// travel together.
   [[nodiscard]] std::optional<Lease> try_claim_sibling(const Lease& held);
 
-  enum class RemoteCommit {
-    Committed,  ///< rows durably merged and published
+  enum class Commit {
+    Committed,  ///< rows durably committed and published
     Duplicate,  ///< another lease of the unit won; rows dropped (byte-equal
                 ///< by purity, so nothing is lost)
     Stopped,    ///< server stopping; nothing written (kill -9 contract)
-    Failed,     ///< coordinator-side checkpoint write failed; job failed
+    Failed,     ///< checkpoint write failed; job failed
   };
-  /// Durably commit one completed lease: append `rows` to the coordinator's
+  /// Durably commit one completed lease: append `rows` to the job's
   /// checkpoint and publish them to `results` readers, exactly once per
   /// unit no matter how many leases of it complete. `claimed_us` (steady
   /// clock at claim, 0 = no obs) feeds the tenant unit-service histogram.
-  RemoteCommit commit_remote_unit(const Lease& lease, std::vector<std::string> rows,
-                                  std::uint64_t claimed_us);
+  Commit commit_unit(const Lease& lease, std::vector<std::string> rows,
+                     std::uint64_t claimed_us);
   /// Lease expiry (shard death, transport error): re-queue the unit unless
   /// another live lease still covers it or it already committed.
   void return_lease(const Lease& lease);
-  /// Unit EXECUTION failure on the shard (not transport): fail the job,
-  /// mirroring a local worker's failure path.
+  /// Unit execution failure (a local run's exception, a shard's
+  /// unit_failed, a rejected lease): drop the lease and fail the job.
   void fail_lease(const Lease& lease, const std::string& error);
 
   /// The shard fleet when running as a coordinator, else nullptr (counter
@@ -230,16 +225,37 @@ class Server {
   [[nodiscard]] std::size_t tenant_evictions(const std::string& tenant);
 
  private:
+  /// A spec resolved for execution: everything running any unit of it
+  /// needs. Jobs extend it; the lease path caches it per connection.
+  struct UnitPlan;
+
   void load_existing_jobs();
   void worker_loop();
-  /// nullptr when no unit is currently dispatchable.
-  std::shared_ptr<Job> claim_unit(std::size_t& unit_out);
+  /// Resolve `spec` for `tenant_name` into `plan`, clamping its realization
+  /// budget to the tenant's quota. Returns the tenant (created on demand).
+  Tenant& resolve_plan(UnitPlan& plan, const std::string& tenant_name,
+                       api::ExperimentSpec spec);
+  /// Run one unit on the tenant's session: its result rows, in heuristic
+  /// order. Throws what the run throws.
+  static std::vector<std::string> execute_unit(Tenant& tenant, const UnitPlan& plan,
+                                               std::size_t unit);
+  /// Caller holds mu_. Account one completed unit of `rows` rows to the
+  /// tenant (which had counted it in flight) and apply the chain-store
+  /// quota check at this, the only safe boundary.
+  void unit_done_locked(Tenant& tenant, std::size_t rows);
+  /// Caller holds mu_. Claim the next pending unit, round-robin fair across
+  /// jobs; nullopt when no unit is currently dispatchable.
+  std::optional<Lease> claim_unit();
+  /// Caller holds mu_. The claim transition of a pending unit: in flight
+  /// under one fresh lease.
+  Lease claim_locked(const std::shared_ptr<Job>& job, Tenant& tenant, std::size_t unit);
+  /// Caller holds mu_. Drop one lease of an in-flight unit; the last one
+  /// re-queues it. No-op on a committed unit.
+  void drop_lease_locked(Job& job, std::size_t unit);
   /// Caller holds mu_. Perform the DRAINING eviction if the tenant is
   /// draining and idle; returns true when dispatch of this tenant's units
   /// may proceed (i.e. the tenant is no longer draining).
   bool evict_if_drained(Tenant& tenant);
-  /// Claim under mu_ (caller holds it); shared body of the dispatch calls.
-  std::optional<Lease> claim_locked(bool allow_steal);
   /// Steal candidate under mu_: an in-flight unit with exactly one live
   /// lease, round-robin fair across jobs. nullopt when nothing qualifies.
   std::optional<Lease> steal_locked();
@@ -259,8 +275,7 @@ class Server {
   /// Per-connection lease state: resolved specs keyed by the peer's job
   /// ref, so one spec transfer covers every later lease of the job on this
   /// connection.
-  struct LeaseContext;
-  using LeaseCache = std::map<std::string, std::shared_ptr<LeaseContext>>;
+  using LeaseCache = std::map<std::string, std::shared_ptr<const UnitPlan>>;
   void handle_lease(const util::json::Value& req, util::LineChannel& ch,
                     LeaseCache& cache);
 
@@ -280,7 +295,8 @@ class Server {
   struct FleetState {
     std::size_t queue_depth = 0;     ///< pending units of dispatchable jobs
     std::size_t inflight_units = 0;  ///< claimed, not yet committed
-    std::size_t busy_workers = 0;    ///< workers currently inside a unit
+    /// Local workers between claim and resolution (0 on a coordinator).
+    std::size_t busy_workers = 0;
   };
   [[nodiscard]] FleetState fleet_state() const;
   /// Push fleet_state() into the obs gauges (caller holds mu_). Called at
@@ -300,7 +316,6 @@ class Server {
   std::set<std::string> reserved_ids_;  ///< submit in progress, not yet in jobs_
   std::size_t rr_cursor_ = 0;
   std::size_t next_job_number_ = 1;
-  std::size_t busy_workers_ = 0;  ///< workers between claim and publish
   std::map<std::string, std::unique_ptr<Tenant>> tenants_;
 
   // Fleet-level gauges (registered once in the constructor; set under mu_).

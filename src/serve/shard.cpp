@@ -5,7 +5,6 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <map>
 #include <set>
 #include <stdexcept>
 
@@ -48,9 +47,6 @@ struct ShardFleet::Shard {
 ShardFleet::ShardFleet(Server& server, const ShardOptions& options)
     : server_(server),
       initial_shards_(options.shards),
-      slots_per_shard_(options.slots_per_shard),
-      lease_batch_(std::max<std::size_t>(1, options.lease_batch)),
-      steal_(options.steal),
       heartbeat_interval_ms_(std::max(50L, options.heartbeat_interval_ms)),
       heartbeat_timeout_ms_(std::max(100L, options.heartbeat_timeout_ms)) {
   obs::Registry& reg = obs::Registry::instance();
@@ -149,8 +145,7 @@ void ShardFleet::set_live(Shard& shard, bool live) {
 void ShardFleet::spawn_slots(Shard& shard, std::size_t advertised_threads) {
   std::lock_guard<std::mutex> lock(mu_);
   if (stopping_.load() || shard.slots_spawned) return;
-  std::size_t n = slots_per_shard_ != 0 ? slots_per_shard_ : advertised_threads;
-  n = std::clamp<std::size_t>(n, 1, 64);
+  const std::size_t n = std::clamp<std::size_t>(advertised_threads, 1, 64);
   shard.slots_spawned = true;
   for (std::size_t i = 0; i < n; ++i) {
     shard.threads.emplace_back([this, &shard] { slot_loop(shard); });
@@ -264,24 +259,21 @@ void ShardFleet::slot_loop(Shard& shard) {
 
 bool ShardFleet::lease_round(Shard& shard, util::LineChannel& ch,
                              std::vector<std::string>& sent_specs) {
-  // Pull: claim the next unit(s) the moment this slot idles. Blocking on
-  // the first claim IS the work-stealing scheduler — a fast shard returns
-  // here more often and naturally takes more of the queue.
-  std::optional<Server::Lease> first = server_.claim_for_dispatch(steal_);
+  // Pull: claim the next unit the moment this slot idles. Blocking on the
+  // claim IS the work-stealing scheduler — a fast shard returns here more
+  // often and naturally takes more of the queue.
+  std::optional<Server::Lease> first = server_.claim_for_dispatch(/*allow_steal=*/true);
   if (!first.has_value()) return false;  // server stopping
   std::vector<Server::Lease> batch;
   batch.push_back(std::move(*first));
-  // Scenario-affine extension: pull the remaining trials of each claimed
-  // scenario onto THIS shard (even past lease_batch, bounded below) before
-  // claiming fresh units. Siblings share the shard's per-scenario estimator
-  // cache — the dominant unit cost — so splitting a scenario across shards
-  // would re-pay that build per shard and erase the scaling win.
-  constexpr std::size_t kBatchCap = 64;  // bound on sibling overshoot
+  // Scenario-affine extension: pull the remaining trials of the claimed
+  // scenario onto THIS shard. Siblings share the shard's per-scenario
+  // estimator cache — the dominant unit cost — so splitting a scenario
+  // across shards would re-pay that build per shard and erase the scaling
+  // win.
+  constexpr std::size_t kBatchCap = 64;  // bound on one lease request
   while (batch.size() < kBatchCap) {
     std::optional<Server::Lease> more = server_.try_claim_sibling(batch.back());
-    if (!more.has_value() && batch.size() < lease_batch_) {
-      more = server_.try_claim_for_dispatch();
-    }
     if (!more.has_value()) break;
     batch.push_back(std::move(*more));
   }
@@ -313,148 +305,145 @@ bool ShardFleet::lease_round(Shard& shard, util::LineChannel& ch,
     redispatched_total_.inc(expired);
   };
 
-  // A batch can span jobs (round-robin claims); one lease request per job.
-  std::map<std::string, std::vector<std::size_t>> groups;  // job_id -> batch indices
-  for (std::size_t i = 0; i < batch.size(); ++i) groups[batch[i].job_id].push_back(i);
+  // One lease request covers the batch: a claim plus its siblings, all of
+  // one job.
+  const Server::Lease& head = batch.front();
+  const std::string& job_id = head.job_id;
+  std::vector<std::size_t> units;
+  units.reserve(batch.size());
+  for (const Server::Lease& lease : batch) units.push_back(lease.unit);
 
   const std::uint64_t claimed_us = obs::enabled() ? obs::steady_now_us() : 0;
   std::string line;
-  for (const auto& [job_id, indices] : groups) {
-    const Server::Lease& head = batch[indices.front()];
-    std::vector<std::size_t> units;
-    units.reserve(indices.size());
-    for (std::size_t i : indices) units.push_back(batch[i].unit);
+  bool with_spec =
+      std::find(sent_specs.begin(), sent_specs.end(), job_id) == sent_specs.end();
+  for (int attempt = 0; attempt < 2; ++attempt) {
+    const std::string spec =
+        with_spec && head.spec_json != nullptr ? *head.spec_json : std::string();
+    if (!ch.write_line(lease_request(job_id, head.tenant, units, spec))) {
+      expire_unresolved();
+      return false;
+    }
+    if (with_spec) sent_specs.push_back(job_id);
 
-    bool with_spec =
-        std::find(sent_specs.begin(), sent_specs.end(), job_id) == sent_specs.end();
-    for (int attempt = 0; attempt < 2; ++attempt) {
-      const std::string spec =
-          with_spec && head.spec_json != nullptr ? *head.spec_json : std::string();
-      if (!ch.write_line(lease_request(job_id, head.tenant, units, spec))) {
+    bool resend_with_spec = false;
+    bool done = false;
+    while (!done) {
+      if (!ch.read_line(line)) {
         expire_unresolved();
         return false;
       }
-      if (with_spec) sent_specs.push_back(job_id);
-
-      bool resend_with_spec = false;
-      bool group_done = false;
-      while (!group_done) {
-        if (!ch.read_line(line)) {
+      json::Value msg;
+      try {
+        msg = json::parse(line);
+        if (!msg.is_object()) throw std::invalid_argument("not an object");
+      } catch (const std::invalid_argument&) {
+        expire_unresolved();
+        return false;  // framing broken; reconnect
+      }
+      const json::Value* type = msg.find("type");
+      const std::string kind =
+          type != nullptr && type->is_string() ? type->as_string() : "";
+      if (kind == "unit") {
+        const json::Value* unit_v = msg.find("unit");
+        const json::Value* rows_v = msg.find("rows");
+        if (unit_v == nullptr || !unit_v->is_integer() || rows_v == nullptr ||
+            !rows_v->is_integer()) {
           expire_unresolved();
           return false;
         }
-        json::Value msg;
-        try {
-          msg = json::parse(line);
-          if (!msg.is_object()) throw std::invalid_argument("not an object");
-        } catch (const std::invalid_argument&) {
-          expire_unresolved();
-          return false;  // framing broken; reconnect
+        const std::size_t unit = static_cast<std::size_t>(unit_v->as_uint());
+        std::vector<std::string> rows;
+        rows.reserve(static_cast<std::size_t>(rows_v->as_uint()));
+        for (std::size_t r = 0; r < rows_v->as_uint(); ++r) {
+          std::string row;
+          if (!ch.read_line(row)) {
+            expire_unresolved();
+            return false;
+          }
+          rows.push_back(std::move(row));
         }
-        const json::Value* type = msg.find("type");
-        const std::string kind =
-            type != nullptr && type->is_string() ? type->as_string() : "";
-        if (kind == "unit") {
-          const json::Value* unit_v = msg.find("unit");
-          const json::Value* rows_v = msg.find("rows");
-          if (unit_v == nullptr || !unit_v->is_integer() || rows_v == nullptr ||
-              !rows_v->is_integer()) {
-            expire_unresolved();
-            return false;
+        std::size_t idx = batch.size();
+        for (std::size_t i = 0; i < batch.size(); ++i) {
+          if (!resolved[i] && batch[i].unit == unit) {
+            idx = i;
+            break;
           }
-          const std::size_t unit = static_cast<std::size_t>(unit_v->as_uint());
-          std::vector<std::string> rows;
-          rows.reserve(static_cast<std::size_t>(rows_v->as_uint()));
-          for (std::size_t r = 0; r < rows_v->as_uint(); ++r) {
-            std::string row;
-            if (!ch.read_line(row)) {
-              expire_unresolved();
-              return false;
-            }
-            rows.push_back(std::move(row));
+        }
+        if (idx == batch.size()) continue;  // unit we no longer hold; drop
+        const Server::Commit rc =
+            server_.commit_unit(batch[idx], std::move(rows), claimed_us);
+        resolved[idx] = true;
+        if (rc == Server::Commit::Duplicate) {
+          std::lock_guard<std::mutex> lock(mu_);
+          duplicates_ += 1;
+        }
+        if (rc == Server::Commit::Duplicate) duplicate_total_.inc();
+        if (rc == Server::Commit::Stopped) {
+          expire_unresolved();
+          return false;
+        }
+        if (claimed_us != 0) {
+          shard.service_us.observe(obs::steady_now_us() - claimed_us);
+        }
+      } else if (kind == "lease_done") {
+        done = true;
+      } else if (kind == "unit_failed") {
+        const json::Value* unit_v = msg.find("unit");
+        const json::Value* err_v = msg.find("error");
+        const std::size_t unit =
+            unit_v != nullptr && unit_v->is_integer()
+                ? static_cast<std::size_t>(unit_v->as_uint())
+                : head.unit;
+        const std::string error = err_v != nullptr && err_v->is_string()
+                                      ? err_v->as_string()
+                                      : "unit failed on shard " + shard.address;
+        for (std::size_t i = 0; i < batch.size(); ++i) {
+          if (!resolved[i] && batch[i].unit == unit) {
+            server_.fail_lease(batch[i], error);
+            resolved[i] = true;
+            break;
           }
-          std::size_t idx = batch.size();
-          for (std::size_t i : indices) {
-            if (!resolved[i] && batch[i].unit == unit) {
-              idx = i;
-              break;
-            }
+        }
+        // The shard aborts the lease after a failed unit; the rest of the
+        // batch re-queues (the job is failed, so they just sit pending).
+        for (std::size_t i = 0; i < batch.size(); ++i) {
+          if (!resolved[i]) {
+            server_.return_lease(batch[i]);
+            resolved[i] = true;
           }
-          if (idx == batch.size()) continue;  // unit we no longer hold; drop
-          const Server::RemoteCommit rc =
-              server_.commit_remote_unit(batch[idx], std::move(rows), claimed_us);
-          resolved[idx] = true;
-          if (rc == Server::RemoteCommit::Duplicate) {
-            std::lock_guard<std::mutex> lock(mu_);
-            duplicates_ += 1;
-          }
-          if (rc == Server::RemoteCommit::Duplicate) duplicate_total_.inc();
-          if (rc == Server::RemoteCommit::Stopped) {
-            expire_unresolved();
-            return false;
-          }
-          if (claimed_us != 0) {
-            shard.service_us.observe(obs::steady_now_us() - claimed_us);
-          }
-        } else if (kind == "lease_done") {
-          group_done = true;
-        } else if (kind == "unit_failed") {
-          const json::Value* unit_v = msg.find("unit");
+        }
+        done = true;
+      } else {
+        // Generic {"ok":false,...} error.
+        const json::Value* need_spec = msg.find("need_spec");
+        if (need_spec != nullptr && need_spec->is_bool() && need_spec->as_bool() &&
+            !with_spec) {
+          // New shard connection since we last sent the spec (or a shard
+          // restart): resend the lease with the spec attached.
+          with_spec = true;
+          resend_with_spec = true;
+          done = true;
+        } else {
           const json::Value* err_v = msg.find("error");
-          const std::size_t unit =
-              unit_v != nullptr && unit_v->is_integer()
-                  ? static_cast<std::size_t>(unit_v->as_uint())
-                  : batch[indices.front()].unit;
           const std::string error = err_v != nullptr && err_v->is_string()
                                         ? err_v->as_string()
-                                        : "unit failed on shard " + shard.address;
-          for (std::size_t i : indices) {
-            if (!resolved[i] && batch[i].unit == unit) {
-              server_.fail_lease(batch[i], error);
-              resolved[i] = true;
-              break;
-            }
-          }
-          // The shard aborts the lease after a failed unit; the rest of the
-          // group re-queues (the job is failed, so they just sit pending).
-          for (std::size_t i : indices) {
+                                        : "lease rejected by shard " + shard.address;
+          // A rejected lease is a contract violation (bad spec for this
+          // shard, e.g. eps mismatch): re-running elsewhere would loop,
+          // so fail the job loudly.
+          server_.fail_lease(head, error);
+          for (std::size_t i = 0; i < batch.size(); ++i) {
             if (!resolved[i]) {
               server_.return_lease(batch[i]);
               resolved[i] = true;
             }
           }
-          group_done = true;
-        } else {
-          // Generic {"ok":false,...} error.
-          const json::Value* need_spec = msg.find("need_spec");
-          if (need_spec != nullptr && need_spec->is_bool() && need_spec->as_bool() &&
-              !with_spec) {
-            // New shard connection since we last sent the spec (or a shard
-            // restart): resend this group's lease with the spec attached.
-            with_spec = true;
-            resend_with_spec = true;
-            group_done = true;
-          } else {
-            const json::Value* err_v = msg.find("error");
-            const std::string error = err_v != nullptr && err_v->is_string()
-                                          ? err_v->as_string()
-                                          : "lease rejected by shard " + shard.address;
-            // A rejected lease is a contract violation (bad spec for this
-            // shard, e.g. eps mismatch): re-running elsewhere would loop,
-            // so fail the job loudly.
-            server_.fail_lease(batch[indices.front()], error);
-            for (std::size_t i : indices) {
-              if (!resolved[i]) {
-                server_.return_lease(batch[i]);
-                resolved[i] = true;
-              }
-            }
-            group_done = true;
-          }
+          done = true;
         }
       }
-      if (!resend_with_spec) break;
     }
+    if (!resend_with_spec) break;
   }
   // Anything still unresolved (shouldn't happen on clean lease_done paths)
   // goes back to the queue rather than leaking an in-flight unit.

@@ -1,21 +1,22 @@
 // Shard coordinator transport (DESIGN.md §15).
 //
 // A ShardFleet is the dispatch engine of a coordinator-mode Server: for
-// every registered shard daemon it runs a small pool of SLOT threads — each
-// owning one connection to the shard — plus one MONITOR thread probing
-// liveness over a separate connection. A slot's loop is pull-based work
-// stealing in its purest form:
+// every registered shard daemon it runs one SLOT thread per worker thread
+// the shard advertises — each owning one connection to the shard — plus one
+// MONITOR thread probing liveness over a separate connection. A slot is a
+// lease holder just like a plain daemon's local worker; it only runs the
+// unit remotely. Its loop is pull-based work stealing in its purest form:
 //
 //   claim a unit from the coordinator's queue (blocking; round-robin fair
-//   across jobs, exactly the local fleet's policy) -> lease it to the shard
-//   -> stream the unit's result rows back -> Server::commit_remote_unit.
+//   across jobs, exactly the local workers' policy) -> lease it to the
+//   shard -> stream the unit's result rows back -> Server::commit_unit.
 //
 // Nothing is partitioned up front: a fast shard simply claims more often,
 // so slot-cap-bound straggler units never serialize the tail. When the
-// queue is empty an idle slot may STEAL — duplicate-lease an in-flight unit
+// queue is empty an idle slot STEALS — duplicate-leases an in-flight unit
 // held by exactly one other lease; rows are pure functions of (spec, unit),
 // so whichever lease finishes first commits and the loser's bytes are
-// dropped unread (Server::RemoteCommit::Duplicate).
+// dropped unread (Server::Commit::Duplicate).
 //
 // Failure model: a dead connection (shard crash, kill -9, network cut) or
 // a missed heartbeat deadline expires every lease the slot held —
@@ -86,9 +87,8 @@ class ShardFleet {
   bool lease_round(Shard& shard, util::LineChannel& ch,
                    std::vector<std::string>& sent_specs);
   void set_live(Shard& shard, bool live);
-  /// Create the slot threads once the shard's first registration succeeds.
-  /// Slot count = slots_per_shard option, or the shard's advertised worker
-  /// thread count when the option is 0 (clamped to [1, 64]).
+  /// Create the slot threads once the shard's first registration succeeds:
+  /// one per advertised worker thread, clamped to [1, 64].
   void spawn_slots(Shard& shard, std::size_t advertised_threads);
   /// Interruptible sleep; false when the fleet is stopping.
   bool sleep_ms(long ms);
@@ -98,9 +98,6 @@ class ShardFleet {
   // ShardOptions lives in server.hpp (which includes this header), so the
   // fields are copied rather than the struct embedded.
   std::vector<std::string> initial_shards_;
-  std::size_t slots_per_shard_;
-  std::size_t lease_batch_;
-  bool steal_;
   long heartbeat_interval_ms_;
   long heartbeat_timeout_ms_;
 

@@ -651,6 +651,7 @@ TEST(Serve, MetricsVerbReportsPerTenantSeries) {
     EXPECT_NE(text.find("tcgrid_serve_unit_service_us_count{tenant=\"ten-b\"} 8"),
               std::string::npos);
     EXPECT_NE(text.find("tcgrid_serve_queue_depth 0"), std::string::npos);
+    EXPECT_NE(text.find("tcgrid_serve_busy_workers 0"), std::string::npos);
     // The availability kernel the units ran with, as an info gauge.
     const std::string kernel_info = "tcgrid_avail_kernel_info{kernel=\"" +
                                     std::string(util::to_string(util::simd_kernel())) +

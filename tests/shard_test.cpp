@@ -320,6 +320,17 @@ TEST(Shard, CoordinatorMergesByteIdenticalToSingleProcess) {
   ASSERT_NE(coord_block, nullptr);
   EXPECT_EQ(coord_block->find("shards")->as_uint(), 2u);
   EXPECT_GE(coord_block->find("leased_units")->as_uint(), 24u);
+
+  // The coordinator's accounting returns to zero: every claim resolved, no
+  // local worker exists to be busy, and the tenant saw each unit once.
+  const json::Value* fleet = counters.find("fleet");
+  ASSERT_NE(fleet, nullptr);
+  EXPECT_EQ(fleet->find("inflight_units")->as_uint(), 0u);
+  EXPECT_EQ(fleet->find("busy_workers")->as_uint(), 0u);
+  const json::Value* alice = counters.find("tenants")->find("alice");
+  ASSERT_NE(alice, nullptr);
+  EXPECT_EQ(alice->find("inflight")->as_uint(), 0u);
+  EXPECT_EQ(alice->find("units_done")->as_uint(), spec.unit_count());
 }
 
 TEST(Shard, DuplicateLeaseCompletionCommitsExactlyOnce) {
@@ -354,7 +365,6 @@ TEST(Shard, DuplicateLeaseCompletionCommitsExactlyOnce) {
     EXPECT_FALSE(lease->stolen);
     leases.push_back(std::move(*lease));
   }
-  EXPECT_FALSE(coord.server->try_claim_for_dispatch().has_value());
 
   auto stolen = coord.server->claim_for_dispatch(/*allow_steal=*/true);
   ASSERT_TRUE(stolen.has_value());
@@ -362,13 +372,12 @@ TEST(Shard, DuplicateLeaseCompletionCommitsExactlyOnce) {
   const std::size_t victim = stolen->unit;
 
   // The stolen (duplicate) lease wins the race; the original must dedup.
-  EXPECT_EQ(coord.server->commit_remote_unit(*stolen, rows_of.at(victim), 0),
-            serve::Server::RemoteCommit::Committed);
+  EXPECT_EQ(coord.server->commit_unit(*stolen, rows_of.at(victim), 0),
+            serve::Server::Commit::Committed);
   for (const auto& lease : leases) {
-    const auto rc =
-        coord.server->commit_remote_unit(lease, rows_of.at(lease.unit), 0);
-    EXPECT_EQ(rc, lease.unit == victim ? serve::Server::RemoteCommit::Duplicate
-                                       : serve::Server::RemoteCommit::Committed);
+    const auto rc = coord.server->commit_unit(lease, rows_of.at(lease.unit), 0);
+    EXPECT_EQ(rc, lease.unit == victim ? serve::Server::Commit::Duplicate
+                                       : serve::Server::Commit::Committed);
   }
 
   const auto status = coord.server->wait_job("sweep");
@@ -412,7 +421,7 @@ TEST(Shard, SiblingClaimsStayInsideTheScenario) {
   // The scenario is exhausted: no fourth sibling, even though other
   // scenarios still have pending units (a fresh claim finds one).
   EXPECT_FALSE(coord.server->try_claim_sibling(held.back()).has_value());
-  auto next = coord.server->try_claim_for_dispatch();
+  auto next = coord.server->claim_for_dispatch(/*allow_steal=*/false);
   ASSERT_TRUE(next.has_value());
   EXPECT_NE(api::unit_scenario(next->unit, spec.trials), scenario);
 
@@ -421,6 +430,45 @@ TEST(Shard, SiblingClaimsStayInsideTheScenario) {
   coord.server->return_lease(*next);
   for (const auto& lease : held) coord.server->return_lease(lease);
   EXPECT_EQ(coord.server->job_status("sweep")->state, "running");
+}
+
+TEST(Shard, LeaseWorkOverQuotaDrainsAndStaysByteIdentical) {
+  // Leased units go through the same completed-unit accounting as local
+  // ones: a tenant whose chain store outgrows its 1-byte bound drains and
+  // evicts between leased units, the default tenant never does, and both
+  // stream the same bytes.
+  serve::ServerOptions opts = shard_opts("lease_quota");
+  serve::TenantQuota small;
+  small.chain_store_bytes = 1;
+  opts.tenant_quotas["small"] = small;
+  Daemon shard(opts, fresh_root("lease_quota_sock") + ".sock");
+  Client client(shard.socket);
+
+  const api::ExperimentSpec spec = tiny_spec();  // 8 units
+  const std::string spec_json = json::dump(api::spec_to_json(spec));
+  const std::size_t units = spec.unit_count();
+  std::vector<std::size_t> all_units(units);
+  for (std::size_t u = 0; u < units; ++u) all_units[u] = u;
+  std::map<std::string, std::vector<std::string>> rows;
+  for (const std::string tenant : {"small", "big"}) {
+    const auto leased = client.lease("ref-" + tenant, tenant, all_units, spec_json);
+    ASSERT_EQ(leased.size(), units) << tenant;
+    for (const auto& [unit, unit_rows] : leased) {
+      rows[tenant].insert(rows[tenant].end(), unit_rows.begin(), unit_rows.end());
+    }
+  }
+  EXPECT_EQ(sorted(rows["small"]), sorted(rows["big"]));
+  EXPECT_GT(shard.server->tenant_evictions("small"), 0u);
+  EXPECT_EQ(shard.server->tenant_evictions("big"), 0u);
+
+  const json::Value counters = client.roundtrip(serve::counters_request());
+  ASSERT_TRUE(is_ok(counters)) << error_of(counters);
+  for (const std::string tenant : {"small", "big"}) {
+    const json::Value* t = counters.find("tenants")->find(tenant);
+    ASSERT_NE(t, nullptr) << tenant;
+    EXPECT_EQ(t->find("inflight")->as_uint(), 0u) << tenant;
+    EXPECT_EQ(t->find("units_done")->as_uint(), units) << tenant;
+  }
 }
 
 TEST(Shard, ShardDeathMidJobExpiresLeasesAndStaysByteIdentical) {

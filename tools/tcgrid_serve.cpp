@@ -26,11 +26,14 @@
 // (the verb still answers, with zero-valued series). --trace appends one
 // canonical-JSON line per span/event to PATH.
 //
-// Coordinator mode (DESIGN.md §15): with --coordinator the daemon runs no
-// local workers — it leases (scenario, trial) units to stock tcgrid_serve
-// shard daemons (--shard, repeatable, unix:PATH or tcp:HOST:PORT; more can
-// join at runtime via the `register` verb) with pull-based work stealing,
-// and merges the streamed rows into its own checkpoint. The client-facing
+// Local workers (--threads) are in-process lease holders: each claims a
+// unit, runs it and commits its rows durably. Coordinator mode (DESIGN.md
+// §15): with --coordinator the daemon runs no local workers — the lease
+// holders are slots that lease (scenario, trial) units to stock
+// tcgrid_serve shard daemons (--shard, repeatable, unix:PATH or
+// tcp:HOST:PORT; more can join at runtime via the `register` verb), one
+// slot per shard worker thread, with pull-based work stealing, and the
+// streamed rows commit into the coordinator's own checkpoint. The client-facing
 // verbs are unchanged, and the merged row set is byte-identical to a
 // single-process run. --listen-tcp accepts the same protocol over TCP —
 // the natural shape for shards on other hosts.
@@ -66,15 +69,15 @@ using tcgrid::serve::TenantQuota;
                "          [--store-dir DIR] [--default-quota RB:CB]\n"
                "          [--quota tenant=RB:CB]... [--no-obs] [--trace PATH]\n"
                "          [--listen-tcp HOST:PORT] [--coordinator]\n"
-               "          [--shard ADDR]... [--shard-slots N] [--lease-batch N]\n"
-               "          [--heartbeat-ms N] [--heartbeat-timeout-ms N] [--no-steal]\n"
+               "          [--shard ADDR]... [--heartbeat-ms N] [--heartbeat-timeout-ms N]\n"
                "  RB:CB = realization-budget : chain-store bytes, optional k/m/g suffix\n"
                "  --store-dir enables the shared persistent chain-statistics cache\n"
                "  --no-obs disables metric updates; --trace appends span events to PATH\n"
                "  --listen-tcp also accepts the protocol on a TCP port\n"
                "  --coordinator runs no local workers: units are leased to --shard\n"
                "    daemons (unix:PATH or tcp:HOST:PORT; repeatable, or registered at\n"
-               "    runtime) with work stealing, rows merged byte-identically\n",
+               "    runtime), one lease slot per shard worker thread, with work\n"
+               "    stealing; rows merged byte-identically\n",
                argv0);
   std::exit(2);
 }
@@ -140,11 +143,8 @@ int main(int argc, char** argv) {
       else if (arg == "--listen-tcp") tcp_listen = next();
       else if (arg == "--coordinator") options.coordinator = true;
       else if (arg == "--shard") options.shard.shards.push_back(next());
-      else if (arg == "--shard-slots") options.shard.slots_per_shard = std::stoul(next());
-      else if (arg == "--lease-batch") options.shard.lease_batch = std::stoul(next());
       else if (arg == "--heartbeat-ms") options.shard.heartbeat_interval_ms = std::stol(next());
       else if (arg == "--heartbeat-timeout-ms") options.shard.heartbeat_timeout_ms = std::stol(next());
-      else if (arg == "--no-steal") options.shard.steal = false;
       else usage(argv[0]);
     }
   } catch (const std::exception& e) {
