@@ -12,23 +12,11 @@
 //    Options::shared_chain_stats ablation), verify every estimate is
 //    bit-identical between the two, and write the timings plus store hit
 //    rates to BENCH_estimator.json. Exit codes: 0 ok, 2 on any
-//    shared/private divergence (CI fails on it);
-//  * --store_bench[=PATH]: the CI perf smoke for the PERSISTENT store
-//    (DESIGN.md §14) — fork fresh child processes of this binary
-//    (--store_child) against one on-disk store directory: a no-store
-//    baseline, a cold-disk warmup (computes everything, flushes one
-//    generation), and a warm-disk pass (fresh process, mmap'd
-//    generations). Verifies all three produce bit-identical estimates and
-//    writes the timings + persistence counters to BENCH_store.json. Exit
-//    codes: 0 ok, 2 on divergence or a warm pass that never hit disk.
+//    shared/private divergence (CI fails on it).
 #include <benchmark/benchmark.h>
-#include <unistd.h>
 
 #include <chrono>
 #include <cstdio>
-#include <cstring>
-#include <filesystem>
-#include <fstream>
 #include <memory>
 #include <span>
 #include <string>
@@ -36,7 +24,6 @@
 
 #include "bench_common.hpp"
 #include "markov/chain_stats.hpp"
-#include "markov/persistent_stats.hpp"
 #include "markov/series.hpp"
 #include "platform/scenario.hpp"
 #include "sched/estimator.hpp"
@@ -382,241 +369,10 @@ int emit_json(const util::Cli& cli) {
   return all_identical ? 0 : 2;  // CI fails on shared/private divergence
 }
 
-// ---------------------------------------------------------------------------
-// --store_bench mode: cold-process-warm-disk persistent store comparison.
-// ---------------------------------------------------------------------------
-
-std::uint64_t fnv1a_mix(std::uint64_t h, double v) {
-  std::uint64_t bits = 0;
-  std::memcpy(&bits, &v, sizeof bits);
-  for (int i = 0; i < 8; ++i) {
-    h ^= (bits >> (8 * i)) & 0xffu;
-    h *= 1099511628211ull;
-  }
-  return h;
-}
-
-/// Child body (--store_child=MODE [--store_dir=D]): the per-scenario-cell
-/// workload a sweep pays in a fresh process — per rep, a fresh store (over
-/// the persistent cache when --store_dir is given) and a fresh estimator
-/// doing one incremental first decision plus a deep survival-table query.
-/// Emits exactly one JSON line on stdout: timing, a bit-exact digest of
-/// every estimate, and the persistence counters.
-int store_child(const util::Cli& cli) {
-  const std::string dir = cli.value("store_dir").value_or("");
-  const int reps = static_cast<int>(cli.get_long("reps", 30));
-
-  std::shared_ptr<markov::PersistentChainStats> persist;
-  if (!dir.empty()) {
-    persist = std::make_shared<markov::PersistentChainStats>(dir, 1e-6);
-  }
-
-  struct Case {
-    const char* name;
-    platform::Scenario scenario;
-  };
-  platform::ScenarioParams paper_params;
-  paper_params.seed = 5;
-  std::vector<Case> cases;
-  cases.push_back({"homogeneous", homogeneous_scenario(20)});
-  cases.push_back({"paper", platform::make_scenario(paper_params)});
-
-  std::uint64_t digest = 14695981039346656037ull;
-  unsigned long long probes = 0;
-  std::vector<std::shared_ptr<markov::ChainStatsStore>> last_stores(cases.size());
-
-  const auto t0 = std::chrono::steady_clock::now();
-  for (int r = 0; r < reps; ++r) {
-    for (std::size_t ci = 0; ci < cases.size(); ++ci) {
-      const platform::Scenario& scenario = cases[ci].scenario;
-      auto store = persist != nullptr
-                       ? std::make_shared<markov::ChainStatsStore>(1e-6, persist)
-                       : std::make_shared<markov::ChainStatsStore>(1e-6);
-      sched::Estimator est(scenario.platform, scenario.app, 1e-6, store);
-      std::vector<int> set;
-      std::vector<sched::Estimator::CommNeed> needs;
-      const int k = std::min(10, scenario.platform.size());
-      for (int q = 0; q < k; ++q) {
-        set.push_back(q);
-        needs.push_back({q, 12});
-      }
-      for (int len = 1; len <= k; ++len) {
-        const sched::IterationEstimate e = est.evaluate(
-            std::span(needs).first(len), std::span(set).first(len), 20);
-        if (r == 0) {  // the digest covers one rep; later reps are replicas
-          digest = fnv1a_mix(fnv1a_mix(digest, e.p_success), e.e_time);
-          probes += 2;
-        }
-      }
-      const double deep = est.p_no_down(0, 20'000);
-      if (r == 0) {
-        digest = fnv1a_mix(digest, deep);
-        probes += 1;
-      }
-      benchmark::DoNotOptimize(deep);
-      last_stores[ci] = std::move(store);
-    }
-  }
-  const double work_us = seconds_since(t0) * 1e6 / reps;
-
-  unsigned long long flushed = 0;
-  if (persist != nullptr) {
-    // One generation per case store; a warm child's stores contain nothing
-    // new, so these flushes write nothing (asserted by the parent).
-    for (const auto& store : last_stores) flushed += persist->flush_from(*store);
-  }
-
-  namespace json = tcgrid::util::json;
-  char digest_hex[32];
-  std::snprintf(digest_hex, sizeof digest_hex, "%016llx",
-                static_cast<unsigned long long>(digest));
-  json::Object line{
-      {"work_us", work_us},
-      {"probes", probes},
-      {"digest", std::string(digest_hex)},
-      {"flushed", flushed},
-  };
-  if (persist != nullptr) {
-    const auto p = persist->counters();
-    line.emplace_back(
-        "persist",
-        json::Object{
-            {"generations", static_cast<unsigned long long>(p.generations)},
-            {"mapped_bytes", static_cast<unsigned long long>(p.mapped_bytes)},
-            {"chains", static_cast<unsigned long long>(p.chains)},
-            {"sets", static_cast<unsigned long long>(p.sets)},
-            {"chain_hits", static_cast<unsigned long long>(p.chain_hits)},
-            {"chain_misses", static_cast<unsigned long long>(p.chain_misses)},
-            {"set_hits", static_cast<unsigned long long>(p.set_hits)},
-            {"set_misses", static_cast<unsigned long long>(p.set_misses)},
-            {"skipped_generations",
-             static_cast<unsigned long long>(p.skipped_generations)},
-            {"flushed_entries", static_cast<unsigned long long>(p.flushed_entries)},
-        });
-  }
-  std::printf("%s\n", json::dump(json::Value{std::move(line)}).c_str());
-  return 0;
-}
-
-/// Parent: run the three children against one fresh store directory and
-/// compare. Uses popen on /proc/self/exe so every pass is a genuinely cold
-/// process (fresh address space, nothing warm but the disk).
-int store_bench(const util::Cli& cli, const char* argv0) {
-  namespace fs = std::filesystem;
-  namespace json = tcgrid::util::json;
-  const std::string path = [&] {
-    auto v = cli.value("store_bench");
-    return (v && !v->empty()) ? *v : std::string("BENCH_store.json");
-  }();
-  const int reps = static_cast<int>(cli.get_long("reps", 30));
-
-  char exe_buf[4096];
-  const ssize_t n = ::readlink("/proc/self/exe", exe_buf, sizeof exe_buf - 1);
-  const std::string exe = n > 0 ? std::string(exe_buf, static_cast<std::size_t>(n))
-                                : std::string(argv0);
-
-  const fs::path dir =
-      fs::temp_directory_path() / ("tcgrid_store_bench_" + std::to_string(::getpid()));
-  std::error_code ec;
-  fs::remove_all(dir, ec);
-
-  auto run_child = [&](const char* label, bool with_dir) -> json::Value {
-    std::string cmd = "'" + exe + "' --store_child=1 --reps=" + std::to_string(reps);
-    if (with_dir) cmd += " --store_dir='" + dir.string() + "'";
-    FILE* pipe = ::popen(cmd.c_str(), "r");
-    if (pipe == nullptr) throw std::runtime_error("popen failed");
-    std::string out;
-    char buf[4096];
-    std::size_t got = 0;
-    while ((got = std::fread(buf, 1, sizeof buf, pipe)) > 0) out.append(buf, got);
-    const int rc = ::pclose(pipe);
-    if (rc != 0 || out.empty()) {
-      throw std::runtime_error(std::string("store child '") + label + "' failed");
-    }
-    return json::parse(out);
-  };
-
-  int rc = 0;
-  try {
-    const json::Value nostore = run_child("nostore", /*with_dir=*/false);
-    const json::Value warmup = run_child("warmup", /*with_dir=*/true);
-    const json::Value warm = run_child("warm", /*with_dir=*/true);
-
-    const std::string d0 = nostore.find("digest")->as_string();
-    const std::string d1 = warmup.find("digest")->as_string();
-    const std::string d2 = warm.find("digest")->as_string();
-    const bool identical = d0 == d1 && d0 == d2;
-
-    const double nostore_us = nostore.find("work_us")->as_double();
-    const double warmup_us = warmup.find("work_us")->as_double();
-    const double warm_us = warm.find("work_us")->as_double();
-    const double speedup = nostore_us / warm_us;
-
-    const json::Value* warm_persist = warm.find("persist");
-    const auto persist_u64 = [&](const char* key) -> unsigned long long {
-      const json::Value* v = warm_persist != nullptr ? warm_persist->find(key) : nullptr;
-      return v != nullptr ? static_cast<unsigned long long>(v->as_double()) : 0;
-    };
-    const unsigned long long warm_chain_hits = persist_u64("chain_hits");
-    const unsigned long long warm_set_hits = persist_u64("set_hits");
-    const unsigned long long warm_flushed =
-        static_cast<unsigned long long>(warm.find("flushed")->as_double());
-
-    unsigned long long disk_bytes = 0;
-    for (const auto& entry : fs::directory_iterator(dir)) {
-      if (entry.is_regular_file()) disk_bytes += entry.file_size();
-    }
-
-    const json::Value artifact = json::Object{
-        {"bench", "persistent_store"},
-        {"reps", reps},
-        {"nostore_us", nostore_us},
-        {"warmup_us", warmup_us},
-        {"warm_us", warm_us},
-        {"speedup_warm_vs_nostore", speedup},
-        {"identical", identical},
-        {"warm_chain_hits", warm_chain_hits},
-        {"warm_set_hits", warm_set_hits},
-        {"warm_flushed_entries", warm_flushed},
-        {"store_disk_bytes", disk_bytes},
-        {"warm_persist", warm_persist != nullptr ? *warm_persist : json::Value{}},
-    };
-    if (const int wrc = tcgrid::bench::write_json_artifact("bench_store", path, artifact);
-        wrc != 0) {
-      rc = wrc;
-    }
-    std::fprintf(stderr,
-                 "store_bench  nostore %9.1fus  warmup %9.1fus  warm %9.1fus "
-                 "(x%.1f)  warm hits %llu chain / %llu set  disk %llu bytes  %s\n",
-                 nostore_us, warmup_us, warm_us, speedup, warm_chain_hits,
-                 warm_set_hits, disk_bytes, identical ? "identical" : "MISMATCH");
-    if (!identical) {
-      std::fprintf(stderr, "store_bench: FAIL — estimates diverge across store modes\n");
-      rc = 2;
-    } else if (warm_chain_hits == 0) {
-      std::fprintf(stderr, "store_bench: FAIL — warm pass never hit the disk store\n");
-      rc = 2;
-    } else if (warm_flushed != 0) {
-      std::fprintf(stderr,
-                   "store_bench: FAIL — warm pass re-flushed %llu entries "
-                   "(cache should already hold them)\n",
-                   warm_flushed);
-      rc = 2;
-    }
-  } catch (const std::exception& e) {
-    std::fprintf(stderr, "store_bench: %s\n", e.what());
-    rc = 1;
-  }
-  fs::remove_all(dir, ec);
-  return rc;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
   const util::Cli cli(argc, argv);
-  if (cli.has("store_child")) return store_child(cli);
-  if (cli.has("store_bench")) return store_bench(cli, argv[0]);
   if (cli.has("emit_json")) return emit_json(cli);
   benchmark::Initialize(&argc, argv);
   if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;

@@ -10,7 +10,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <string>
 
 #include "platform/availability.hpp"
 #include "sim/engine.hpp"
@@ -55,25 +54,6 @@ struct Options {
   /// divergence gate); false gives every estimator a private store — the
   /// ablation baseline matching the old per-estimator caches.
   bool shared_chain_stats = true;
-
-  // --- persistent chain statistics (DESIGN.md §14) --------------------------
-  /// Directory of the disk-backed content-addressed chain-statistics cache
-  /// (markov::PersistentChainStats). Empty (the default) = no persistence —
-  /// the in-memory-only behavior above, and the ablation baseline. When
-  /// set, the session's shared store is layered over mmap'd generation
-  /// files in this directory: store misses consult disk first (survival
-  /// tables are served straight from the read-only mapping), computed
-  /// entries are flushed as new generations at session quiesce points (end
-  /// of run(), clear_caches(), destruction), and any number of processes
-  /// may share one directory. Results are bit-identical with and without a
-  /// store (every persisted double is a pure function of chain bit content
-  /// + eps; enforced by tests and the bench_estimator store gate).
-  ///
-  /// Session-level, like eps and shared_chain_stats (the store is built
-  /// once per session): requires shared_chain_stats and a matching eps;
-  /// ExperimentSpec::options.store_dir is ignored by Session::run, and the
-  /// field is deliberately NOT part of the spec JSON wire format.
-  std::string store_dir;
 
   // --- availability --------------------------------------------------------
   platform::InitialStates init = platform::InitialStates::Stationary;

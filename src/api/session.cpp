@@ -103,51 +103,13 @@ void flush_engine_telemetry(const sim::Engine& engine, const sim::Scheduler& sch
 }  // namespace
 
 Session::Session(Options options) : options_(std::move(options)) {
-  if (!options_.store_dir.empty() && !options_.shared_chain_stats) {
-    throw std::invalid_argument(
-        "Session: store_dir requires shared_chain_stats (a persistent cache "
-        "backs the session store; private per-estimator stores have none)");
-  }
-  if (!options_.store_dir.empty()) {
-    persist_ = std::make_shared<markov::PersistentChainStats>(options_.store_dir,
-                                                              options_.eps);
-  }
   if (options_.shared_chain_stats) {
-    chain_store_ = std::make_shared<markov::ChainStatsStore>(options_.eps, persist_);
+    chain_store_ = std::make_shared<markov::ChainStatsStore>(options_.eps);
   }
   // The kernel is fixed for the process, so the info gauge is written once
   // per session rather than per run: it is in the scrape before the first
   // run finishes, and again after a registry value reset.
   if (obs::enabled()) engine_metrics().avail_kernel_info.set(1);
-}
-
-Session::~Session() {
-  // Quiesce-point flush, best effort: a session dying with a full store
-  // should leave its warmth on disk, but a destructor must not throw — an
-  // unwritable store directory at shutdown loses the increment, nothing
-  // else.
-  try {
-    flush_store();
-  } catch (...) {
-  }
-}
-
-std::size_t Session::flush_store() {
-  // Copy both pointers under the cache mutex (clear_caches() swaps the
-  // in-memory store under the same lock); the flush itself runs unlocked —
-  // it serializes internally and snapshots concurrently mutated entries.
-  std::shared_ptr<markov::ChainStatsStore> store;
-  {
-    const std::lock_guard<std::mutex> lock(cache_mutex_);
-    store = chain_store_;
-  }
-  if (persist_ == nullptr || store == nullptr) return 0;
-  return persist_->flush_from(*store);
-}
-
-markov::PersistentChainStats::Counters Session::persistent_store_counters() {
-  if (persist_ == nullptr) return {};
-  return persist_->counters();
 }
 
 Session::ScenarioEntry::ScenarioEntry(std::shared_ptr<const scen::PlatformFamily> fam,
@@ -185,20 +147,13 @@ Session::ScenarioEntry& Session::entry_for(
 }
 
 void Session::clear_caches() {
-  // Flush BEFORE the swap: with a store_dir configured, eviction trades
-  // memory for disk — the dropped store's computed entries are already in a
-  // generation, so the replacement store reconstructs them from the mapping
-  // instead of recomputing (the serve daemon's DRAINING path rests on this).
-  flush_store();
   const std::lock_guard<std::mutex> lock(cache_mutex_);
   caches_.clear();
   if (chain_store_ != nullptr) {
     // The estimators holding the old store are gone with the caches; a
     // fresh store releases its survival tables and set entries (the bulk of
-    // a hot sweep's estimator memory). The persistent layer survives the
-    // swap — mapped generations (and pointers the old store served from
-    // them) stay alive for the session's lifetime.
-    chain_store_ = std::make_shared<markov::ChainStatsStore>(options_.eps, persist_);
+    // a hot sweep's estimator memory).
+    chain_store_ = std::make_shared<markov::ChainStatsStore>(options_.eps);
   }
 }
 
@@ -221,6 +176,15 @@ markov::ChainStatsStore::Counters Session::chain_store_counters() {
   }
   if (store == nullptr) return {};
   return store->counters();
+}
+
+std::size_t Session::chain_store_bytes() {
+  std::shared_ptr<markov::ChainStatsStore> store;
+  {
+    const std::lock_guard<std::mutex> lock(cache_mutex_);
+    store = chain_store_;
+  }
+  return store == nullptr ? 0 : store->bytes();
 }
 
 std::size_t Session::cached_entries() {
@@ -487,10 +451,6 @@ Session::RunStats Session::run(const ExperimentSpec& spec,
       options.threads, trials);
 
   for (ResultSink* sink : sinks) sink->finish();
-
-  // Quiesce point: every unit is done (or skipped), so persist the sweep's
-  // newly computed chain statistics as one generation.
-  if (persist_ != nullptr) flush_store();
 
   RunStats stats;
   stats.scenarios = scenarios.size();

@@ -41,7 +41,6 @@
 #include "api/sink.hpp"
 #include "api/spec.hpp"
 #include "markov/chain_stats.hpp"
-#include "markov/persistent_stats.hpp"
 #include "platform/availability.hpp"
 #include "platform/realization.hpp"
 #include "platform/scenario.hpp"
@@ -57,14 +56,7 @@ class Session {
  public:
   /// Options for single-run calls (run_trial / run_custom) and the defaults
   /// a sweep falls back to. ExperimentSpec::options wins inside run().
-  /// options.store_dir opens (creating if needed) the persistent
-  /// chain-statistics cache and layers the session store over it (DESIGN.md
-  /// §14); throws std::invalid_argument when store_dir is set with
-  /// shared_chain_stats off (there is no session store to back).
   explicit Session(Options options = {});
-
-  /// Flushes the persistent store (best effort) and releases the caches.
-  ~Session();
 
   /// Progress callback: (units completed, units total), where a unit is one
   /// (scenario, trial) — the sweep's scheduling grain — so a trial-major
@@ -219,6 +211,12 @@ class Session {
   /// the cache mutex; the store itself is thread-safe).
   [[nodiscard]] markov::ChainStatsStore::Counters chain_store_counters();
 
+  /// chain_store_counters().bytes without walking the store: one relaxed
+  /// load (ChainStatsStore::bytes), for hot paths such as the serve
+  /// daemon's per-unit quota check. Same thread-safety as
+  /// chain_store_counters().
+  [[nodiscard]] std::size_t chain_store_bytes();
+
   /// The session-shared store itself (nullptr when shared_chain_stats is
   /// off). Exposed for tests and benches; production code observes it
   /// through chain_store_counters(). Unlike that accessor, this returns a
@@ -227,27 +225,6 @@ class Session {
   [[nodiscard]] const std::shared_ptr<markov::ChainStatsStore>& chain_store()
       const noexcept {
     return chain_store_;
-  }
-
-  /// Persist every newly computed chain-store entry to options().store_dir
-  /// as one atomic generation (markov::PersistentChainStats::flush_from);
-  /// returns the number of entries written, 0 when nothing is new or no
-  /// store_dir is configured. Called automatically at the session quiesce
-  /// points — end of run(), clear_caches() (BEFORE the store swap, so an
-  /// eviction trades memory, not warmth), destruction — and safe to call
-  /// from any thread at any time (the export snapshots concurrently mutated
-  /// entries consistently; half-computed ones wait for the next flush).
-  std::size_t flush_store();
-
-  /// Counters of the persistent store (all zeros when store_dir is unset).
-  /// Safe from any thread at any time.
-  [[nodiscard]] markov::PersistentChainStats::Counters persistent_store_counters();
-
-  /// The persistent backing store itself (nullptr when store_dir is unset).
-  /// Exposed for tests and benches; never reassigned after construction.
-  [[nodiscard]] const std::shared_ptr<markov::PersistentChainStats>&
-  persistent_store() const noexcept {
-    return persist_;
   }
 
   /// Total cached scenario entries across all threads (observability for
@@ -323,12 +300,6 @@ class Session {
       std::string_view heuristic, int trial);
 
   Options options_;
-
-  /// The disk-backed cache behind chain_store_ (options_.store_dir; nullptr
-  /// when unset). Created once, never reassigned: clear_caches() swaps the
-  /// in-memory store but keeps the persistent layer — that asymmetry is the
-  /// point (eviction drops heap bytes, disk generations keep the warmth).
-  std::shared_ptr<markov::PersistentChainStats> persist_;
 
   /// One store per session (created when options_.shared_chain_stats),
   /// handed to every estimator the session builds and shared by all pool

@@ -7,7 +7,6 @@
 #include <stdexcept>
 #include <utility>
 
-#include "markov/persistent_stats.hpp"
 #include "obs/obs.hpp"
 
 namespace tcgrid::markov {
@@ -108,45 +107,11 @@ double ChainSurvival::grow_to(long t) {
   return t < n ? write_[t] : 0.0;
 }
 
-void ChainSurvival::seed_from(const double* data, long len, UrRow row) {
-  assert(len > 0 && "seed_from: empty prefix has nothing to seed");
-  assert(published_.load(std::memory_order_relaxed) == 0 &&
-         "seed_from: table already populated");
-  // The mapped array is published as the flat array directly — served at
-  // the same lock-free depth as a heap array — but NEVER written through:
-  // capacity_ == len means the very first append hits reserve_for, which
-  // grow-copies the mapped prefix to heap and retires the mapped pointer
-  // (the mapping itself stays alive in the PersistentChainStats that served
-  // it, exactly like a retired heap array stays in arrays_).
-  write_ = const_cast<double*>(data);
-  capacity_ = len;
-  row_ = row;
-  flat_.store(data, std::memory_order_release);
-  published_.store(len, std::memory_order_release);
-}
-
-UrRow ChainSurvival::snapshot(std::vector<double>& out) {
-  const std::lock_guard<std::mutex> lock(mu_);
-  const long n = published_.load(std::memory_order_relaxed);
-  out.clear();
-  if (n > 0) out.assign(write_, write_ + n);
-  return row_;
-}
-
 // --------------------------------------------------------- ChainStatsStore ----
 
-ChainStatsStore::ChainStatsStore(double eps) : ChainStatsStore(eps, nullptr) {}
-
-ChainStatsStore::ChainStatsStore(double eps,
-                                 std::shared_ptr<PersistentChainStats> persist)
-    : eps_(eps), persist_(std::move(persist)) {
+ChainStatsStore::ChainStatsStore(double eps) : eps_(eps) {
   if (eps_ <= 0.0) {
     throw std::invalid_argument("ChainStatsStore: eps must be positive");
-  }
-  if (persist_ != nullptr && persist_->eps() != eps_) {
-    throw std::invalid_argument(
-        "ChainStatsStore: persistent store eps does not match (every stored "
-        "quantity depends on the truncation precision)");
   }
 }
 
@@ -171,24 +136,6 @@ ChainId ChainStatsStore::intern(const UrMatrix& m) {
   entry->matrix = m;
   entry->survival.chain_ = &entry->matrix;  // stable: entry lives behind unique_ptr
   entry->survival.bytes_ = &bytes_;
-  if (persist_ != nullptr) {
-    // Disk-backed seed, before the entry becomes visible (no concurrent
-    // reader yet): a persisted survival prefix is served straight from the
-    // generation mapping — zero heap bytes — with the stored UrRow frontier
-    // making any later growth resume the exact advance sequence; a persisted
-    // quad satisfies stats_once so chain_stats() never recomputes it. Both
-    // are bit-identical to compute-and-intern by the §10 purity argument.
-    PersistentChainStats::ChainHit hit;
-    if (persist_->find_chain(key, hit)) {
-      if (hit.survival_len > 0) {
-        entry->survival.seed_from(hit.survival, hit.survival_len, hit.row);
-      }
-      if (hit.has_stats) {
-        std::call_once(entry->stats_once, [&] { entry->stats = hit.stats; });
-        entry->stats_ready.store(true, std::memory_order_release);
-      }
-    }
-  }
   const auto id = static_cast<ChainId>(chains_.size());
   chains_.push_back(std::move(entry));
   try {
@@ -219,7 +166,6 @@ CoupledStats ChainStatsStore::chain_stats(ChainId id) const {
     const UrMatrix procs[] = {entry->matrix};
     entry->stats = coupled_stats(procs, eps_);
   });
-  entry->stats_ready.store(true, std::memory_order_release);
   return entry->stats;
 }
 
@@ -261,73 +207,14 @@ CoupledStats ChainStatsStore::set_stats(std::span<const ChainId> ids) const {
     std::sort(procs.begin(), procs.end(), [](const UrMatrix& a, const UrMatrix& b) {
       return content_key(a) < content_key(b);
     });
-    if (persist_ != nullptr) {
-      // The persistent key is the flattened content-ordered key sequence —
-      // the cross-process spelling of this multiset (ids are store-local).
-      // A hit is the exact quad a computation would produce (purity), so
-      // the expensive coupled series is skipped entirely.
-      std::vector<std::uint64_t> key;
-      key.reserve(procs.size() * 4);
-      for (const UrMatrix& m : procs) {
-        const auto k = content_key(m);
-        key.insert(key.end(), k.begin(), k.end());
-      }
-      if (persist_->find_set(key, entry->stats)) return;
-    }
     entry->stats = coupled_stats(procs, eps_);
   });
-  entry->ready.store(true, std::memory_order_release);
   return entry->stats;
 }
 
 ChainSurvival& ChainStatsStore::survival(ChainId id) const {
   const std::lock_guard<std::mutex> lock(mu_);
   return chains_.at(id)->survival;
-}
-
-void ChainStatsStore::export_entries(std::vector<ExportedChain>& chains,
-                                     std::vector<ExportedSet>& sets) const {
-  chains.clear();
-  sets.clear();
-  // Directory walk under the store mutex only — entry pointers are stable
-  // (unique_ptr nodes), so the per-entry copies happen outside it: survival
-  // prefixes under their per-chain mutex, quads behind the ready flags'
-  // acquire. Entries still computing are skipped; a later flush gets them.
-  std::vector<ChainEntry*> entries;
-  std::vector<std::pair<std::vector<std::uint64_t>, SetEntry*>> set_nodes;
-  {
-    const std::lock_guard<std::mutex> lock(mu_);
-    entries.reserve(chains_.size());
-    for (const auto& entry : chains_) entries.push_back(entry.get());
-    for (const auto& [ids, node] : sets_) {
-      if (!node->ready.load(std::memory_order_acquire)) continue;
-      // Cross-process spelling: content keys in content order — exactly the
-      // order set_stats evaluates in (the arrays sort the same way their
-      // matrices do, the comparison IS content_key).
-      std::vector<std::array<std::uint64_t, 4>> keys;
-      keys.reserve(ids.size());
-      for (ChainId id : ids) keys.push_back(content_key(chains_.at(id)->matrix));
-      std::sort(keys.begin(), keys.end());
-      std::vector<std::uint64_t> flat;
-      flat.reserve(keys.size() * 4);
-      for (const auto& k : keys) flat.insert(flat.end(), k.begin(), k.end());
-      set_nodes.emplace_back(std::move(flat), node.get());
-    }
-  }
-  for (ChainEntry* entry : entries) {
-    ExportedChain out;
-    out.key = content_key(entry->matrix);
-    if (entry->stats_ready.load(std::memory_order_acquire)) {
-      out.has_stats = true;
-      out.stats = entry->stats;
-    }
-    out.row = entry->survival.snapshot(out.survival);
-    if (!out.has_stats && out.survival.empty()) continue;  // nothing derived yet
-    chains.push_back(std::move(out));
-  }
-  for (auto& [key, node] : set_nodes) {
-    sets.push_back(ExportedSet{std::move(key), node->stats});
-  }
 }
 
 ChainStatsStore::Counters ChainStatsStore::counters() const {
@@ -344,7 +231,7 @@ ChainStatsStore::Counters ChainStatsStore::counters() const {
   out.intern_hits = intern_hits_.load(std::memory_order_relaxed);
   out.set_hits = set_hits_.load(std::memory_order_relaxed);
   out.set_misses = set_misses_.load(std::memory_order_relaxed);
-  out.bytes = bytes_.load(std::memory_order_relaxed);
+  out.bytes = bytes();
   return out;
 }
 

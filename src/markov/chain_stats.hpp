@@ -60,8 +60,6 @@
 
 namespace tcgrid::markov {
 
-class PersistentChainStats;
-
 /// Canonical identity of an interned UR sub-matrix within one store.
 /// Ids are dense (0..chain_count-1) and stable for the store's lifetime.
 using ChainId = std::uint32_t;
@@ -115,20 +113,6 @@ class ChainSurvival {
   /// Make room for entry `n` (under mu_): grow-copy when full.
   void reserve_for(long n);
 
-  /// Seed the table from a persistent generation's mapped flat array
-  /// (markov::PersistentChainStats): publishes `data`/`len` directly — zero
-  /// copies, zero heap — with `row` standing at entry len-1, so the first
-  /// grow_to past the mapped frontier resumes the exact advance sequence a
-  /// from-scratch tabulation would have run (grow-copies the mapped prefix
-  /// to heap first, retiring the mapped pointer exactly like a full array).
-  /// Must be called before the owning store publishes the entry (no
-  /// concurrent readers yet); the mapping must outlive the store.
-  void seed_from(const double* data, long len, UrRow row);
-
-  /// Copy the published prefix (under mu_) into `out` and return the row
-  /// standing at entry published-1 — the persistable frontier state.
-  UrRow snapshot(std::vector<double>& out);
-
   std::atomic<const double*> flat_{nullptr};
   std::atomic<long> published_{0};
   std::mutex mu_;   ///< serializes appends only
@@ -137,7 +121,7 @@ class ChainSurvival {
   /// Every array ever allocated, newest last — retired ones stay alive for
   /// lock-free readers (see class comment).
   std::vector<std::unique_ptr<double[]>> arrays_;
-  UrRow row_;                         ///< stands at entry published-1 once seeded
+  UrRow row_;                         ///< stands at entry published-1 once written
   const UrMatrix* chain_ = nullptr;   ///< set by the owning store
   std::atomic<std::size_t>* bytes_ = nullptr;  ///< store-level byte accounting
 };
@@ -151,14 +135,6 @@ class ChainStatsStore {
   /// (every derived quantity depends on it, so stores cannot be shared
   /// across precisions — sched::Estimator enforces the match).
   explicit ChainStatsStore(double eps);
-
-  /// Layered over a persistent disk-backed cache (DESIGN.md §14): intern
-  /// misses and stats misses first consult `persist` (whose eps must match)
-  /// and fall back to compute-and-intern; survival tables found on disk are
-  /// served straight from the read-only mapping (zero copy, same lock-free
-  /// read path). The store keeps `persist` alive — mapped generations must
-  /// outlive every seeded table. nullptr degrades to the plain constructor.
-  ChainStatsStore(double eps, std::shared_ptr<PersistentChainStats> persist);
 
   ChainStatsStore(const ChainStatsStore&) = delete;
   ChainStatsStore& operator=(const ChainStatsStore&) = delete;
@@ -197,48 +173,21 @@ class ChainStatsStore {
   };
   [[nodiscard]] Counters counters() const;
 
-  /// The persistent backing cache, or nullptr (plain in-memory store).
-  [[nodiscard]] const std::shared_ptr<PersistentChainStats>& persist()
-      const noexcept {
-    return persist_;
+  /// counters().bytes alone: one relaxed load, no walk of the chain
+  /// directory and no store mutex — cheap enough for a per-unit quota check.
+  [[nodiscard]] std::size_t bytes() const noexcept {
+    return bytes_.load(std::memory_order_relaxed);
   }
-
-  /// A consistent copy of one chain's persistable state, keyed by content
-  /// (ids are store-local; content keys are the cross-process identity).
-  struct ExportedChain {
-    std::array<std::uint64_t, 4> key{};
-    bool has_stats = false;   ///< quad computed (stats valid)
-    CoupledStats stats;
-    std::vector<double> survival;  ///< published prefix
-    UrRow row;                     ///< stands at entry survival.size()-1
-  };
-  /// One multiset entry, keyed by its chains' content keys sorted in content
-  /// order (4 words per chain) — the same order set_stats evaluates in.
-  struct ExportedSet {
-    std::vector<std::uint64_t> key;
-    CoupledStats stats;
-  };
-  /// Snapshot every entry whose derived quantities are ready (computed
-  /// stats, any published survival prefix). Safe concurrently with all
-  /// other store operations: the directory is walked under the store mutex,
-  /// each survival prefix is copied under its per-chain mutex, and
-  /// half-computed entries are simply skipped (the next flush gets them).
-  void export_entries(std::vector<ExportedChain>& chains,
-                      std::vector<ExportedSet>& sets) const;
 
  private:
   struct ChainEntry {
     UrMatrix matrix;
     mutable std::once_flag stats_once;
-    /// Set (release) after stats_once ran: the exporter's queryable mirror
-    /// of the unqueryable once_flag. Readers pair it with an acquire load.
-    mutable std::atomic<bool> stats_ready{false};
     CoupledStats stats;            ///< quad only; w-memo never grown here
     ChainSurvival survival;
   };
   struct SetEntry {
     mutable std::once_flag once;
-    mutable std::atomic<bool> ready{false};  ///< as ChainEntry::stats_ready
     CoupledStats stats;            ///< quad only; w-memo never grown here
   };
 
@@ -247,11 +196,6 @@ class ChainStatsStore {
       const UrMatrix& m) noexcept;
 
   double eps_;
-
-  /// Disk-backed second level (nullptr = none). Consulted only on misses —
-  /// intern of a new chain, first stats/set_stats of an entry — so the warm
-  /// paths stay exactly as fast as the plain in-memory store.
-  std::shared_ptr<PersistentChainStats> persist_;
 
   mutable std::mutex mu_;  ///< guards the maps and chain directory only
   std::vector<std::unique_ptr<ChainEntry>> chains_;

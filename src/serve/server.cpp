@@ -153,10 +153,6 @@ Server::Tenant& Server::tenant_for(const std::string& name) {
     tenant->quota = q != options_.tenant_quotas.end() ? q->second : options_.default_quota;
     api::Options session_options;
     session_options.eps = options_.eps;
-    // One store directory across tenants (see ServerOptions::store_dir):
-    // every tenant session layers over the same mmap'd generations, and a
-    // flush from any tenant warms all of them.
-    session_options.store_dir = options_.store_dir;
     tenant->session = std::make_unique<api::Session>(session_options);
     obs::Registry& reg = obs::Registry::instance();
     tenant->unit_service_us =
@@ -448,7 +444,7 @@ void Server::unit_done_locked(Tenant& tenant, std::size_t rows) {
   // coordinator's tenant sessions run nothing, so their stores stay empty
   // and never drain — DRAINING happens on the shards.
   if (tenant.draining) return;
-  const std::size_t store_bytes = tenant.session->chain_store_counters().bytes;
+  const std::size_t store_bytes = tenant.session->chain_store_bytes();
   if (store_bytes <= tenant.quota.chain_store_bytes) return;
   tenant.draining = true;
   if (obs::Tracer::instance().active()) {
@@ -462,9 +458,7 @@ void Server::unit_done_locked(Tenant& tenant, std::size_t rows) {
 Server::Commit Server::commit_unit(const Lease& lease, std::vector<std::string> rows,
                                    std::uint64_t claimed_us) {
   const std::shared_ptr<Job>& job = lease.job;
-  Tenant* tenant = nullptr;
   std::uint64_t service_us = 0;
-  bool job_completed = false;
   {
     std::lock_guard<std::mutex> io_lock(job->io_mutex);
     {
@@ -495,7 +489,7 @@ Server::Commit Server::commit_unit(const Lease& lease, std::vector<std::string> 
     // offsets must index the same sequence before and after a restart
     // (which rebuilds job->rows in file order; DESIGN.md §11, §15).
     std::lock_guard<std::mutex> lock(mu_);
-    tenant = tenants_[job->tenant].get();
+    Tenant* tenant = tenants_[job->tenant].get();
     job->inflight -= 1;
     job->unit_state[lease.unit] = Job::kDone;
     job->lease_count[lease.unit] = 0;
@@ -509,7 +503,6 @@ Server::Commit Server::commit_unit(const Lease& lease, std::vector<std::string> 
     if (claimed_us != 0) tenant->unit_service_us.observe(service_us);
     if (job->units_done == job->units_total && !job->terminal()) {
       job->state = Job::State::Done;
-      job_completed = true;
     }
     finalize_if_drained(*job);
     update_fleet_gauges();
@@ -525,11 +518,6 @@ Server::Commit Server::commit_unit(const Lease& lease, std::vector<std::string> 
                        {"stolen", lease.stolen},
                        {"us", static_cast<unsigned long long>(service_us)}});
   }
-  // Job completion is a quiesce point of the persistent store (DESIGN.md
-  // §14): persist what this sweep interned while it is all still hot.
-  // Outside every lock — the flush serializes internally and snapshots
-  // entries other tenants' units may still be appending to.
-  if (job_completed) tenant->session->flush_store();
   return Commit::Committed;
 }
 
@@ -751,7 +739,9 @@ std::string Server::handle_counters() {
   json::Object tenants;
   for (const auto& [name, tenant] : tenants_) {
     const auto store = tenant->session->chain_store_counters();
-    json::Object tenant_obj{
+    tenants.emplace_back(
+        name,
+        json::Object{
             {"jobs", static_cast<unsigned long long>(tenant->jobs)},
             {"units_done", static_cast<unsigned long long>(tenant->units_done)},
             {"rows", static_cast<unsigned long long>(tenant->rows)},
@@ -776,27 +766,7 @@ std::string Server::handle_counters() {
                   static_cast<unsigned long long>(store.survival_entries)},
                  {"bytes", static_cast<unsigned long long>(store.bytes)},
              }},
-        };
-    if (tenant->session->persistent_store() != nullptr) {
-      const auto p = tenant->session->persistent_store_counters();
-      tenant_obj.emplace_back(
-          "persistent",
-          json::Object{
-              {"generations", static_cast<unsigned long long>(p.generations)},
-              {"mapped_bytes", static_cast<unsigned long long>(p.mapped_bytes)},
-              {"chains", static_cast<unsigned long long>(p.chains)},
-              {"sets", static_cast<unsigned long long>(p.sets)},
-              {"chain_hits", static_cast<unsigned long long>(p.chain_hits)},
-              {"chain_misses", static_cast<unsigned long long>(p.chain_misses)},
-              {"set_hits", static_cast<unsigned long long>(p.set_hits)},
-              {"set_misses", static_cast<unsigned long long>(p.set_misses)},
-              {"skipped_generations",
-               static_cast<unsigned long long>(p.skipped_generations)},
-              {"flushed_entries",
-               static_cast<unsigned long long>(p.flushed_entries)},
-          });
-    }
-    tenants.emplace_back(name, std::move(tenant_obj));
+        });
   }
   const FleetState fs = fleet_state();
   json::Object response{

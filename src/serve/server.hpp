@@ -100,15 +100,6 @@ struct ServerOptions {
   /// by construction (the chain store is built once per session with it),
   /// so submitted specs must carry the same value — see DESIGN.md §11.
   double eps = 1e-6;
-  /// Directory of the persistent chain-statistics cache shared by ALL
-  /// tenant sessions (DESIGN.md §14). Empty = no persistence. One directory
-  /// for the whole daemon is deliberate: entries are content-addressed pure
-  /// functions of chain bit content + eps, so they are tenant-neutral and a
-  /// tenant can only ever read values it would have computed bit-identically
-  /// itself. With a store, the DRAINING eviction trades memory but not
-  /// warmth — clear_caches() flushes to disk before dropping the heap, and
-  /// re-interned chains are served back from the mapping.
-  std::string store_dir;
 };
 
 struct JobStatus {

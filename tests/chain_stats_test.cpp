@@ -22,8 +22,12 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
+#include <bit>
+#include <cstdint>
 #include <memory>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "api/api.hpp"
@@ -165,6 +169,124 @@ TEST(ChainStatsStore, SurvivalTerminalZeroCapsTheTable) {
   // ...and later, larger queries answer 0.0 without growing it.
   EXPECT_EQ(surv.grow_to(10'000'000), 0.0);
   EXPECT_EQ(surv.published(), n);
+}
+
+TEST(ChainStatsStore, ConcurrentInternGrowAndSetStatsMatchSerial) {
+  // Four threads share ONE store: they intern overlapping chains in rotated
+  // orders and query per-chain and multiset quads. Two of them grow a slowly
+  // decaying chain's survival table far past the 4096-entry first array, so
+  // grow-copy retires arrays, while the other two poll its published prefix
+  // lock-free, taking no lock between reads (under TSan, a missing
+  // release/acquire pairing on the table shows up here). Every value must
+  // equal a serial reference store's, bit for bit.
+  constexpr double kEps = 1e-9;
+  constexpr int kThreads = 4;
+  constexpr long kDepth = 20'000;  // several grow-copies of the slow table
+  const std::vector<markov::UrMatrix> chains = {
+      ur_of(0.97, 0.85), ur_of(0.91, 0.92), ur_of(0.84, 0.88),
+      ur_of(0.95, 0.90), ur_of(0.99, 0.95), ur_of(0.999, 0.99)};
+  const std::size_t slow = chains.size() - 1;
+  const std::vector<std::vector<std::size_t>> multisets = {
+      {0, 1}, {1, 1, 2}, {0, 2, 3, 4}, {3, 3, 3}, {5, 0}, {4, 5, 5}};
+  const auto bits = [](double v) { return std::bit_cast<std::uint64_t>(v); };
+  const auto sorted_ids = [](const std::vector<ChainId>& ids,
+                             const std::vector<std::size_t>& ms) {
+    std::vector<ChainId> out;
+    for (std::size_t c : ms) out.push_back(ids[c]);
+    std::sort(out.begin(), out.end());
+    return out;
+  };
+
+  // Serial reference.
+  ChainStatsStore ref(kEps);
+  std::vector<ChainId> ref_ids;
+  for (const auto& m : chains) ref_ids.push_back(ref.intern(m));
+  std::vector<markov::CoupledStats> ref_chain;
+  for (ChainId id : ref_ids) ref_chain.push_back(ref.chain_stats(id));
+  std::vector<markov::CoupledStats> ref_set;
+  for (const auto& ms : multisets) {
+    ref_set.push_back(ref.set_stats(sorted_ids(ref_ids, ms)));
+  }
+  markov::ChainSurvival& ref_surv = ref.survival(ref_ids[slow]);
+  ASSERT_NE(ref_surv.grow_to(kDepth), 0.0) << "slow chain must not underflow";
+  const std::vector<double> ref_table(ref_surv.flat(), ref_surv.flat() + kDepth + 1);
+
+  ChainStatsStore shared(kEps);
+  std::vector<std::vector<ChainId>> ids(kThreads);
+  std::atomic<int> ready{0};
+  std::atomic<long> mismatches{0};
+  std::atomic<long> prefix_reads{0};
+  std::vector<std::thread> threads;
+  for (int tid = 0; tid < kThreads; ++tid) {
+    threads.emplace_back([&, tid] {
+      std::vector<ChainId>& mine = ids[static_cast<std::size_t>(tid)];
+      mine.assign(chains.size(), 0);
+      for (std::size_t k = 0; k < chains.size(); ++k) {
+        const std::size_t c = (k + static_cast<std::size_t>(tid)) % chains.size();
+        mine[c] = shared.intern(chains[c]);
+      }
+      const auto check_quads = [&](std::size_t c, std::size_t s) {
+        const auto cs = shared.chain_stats(mine[c]);
+        const auto ss = shared.set_stats(sorted_ids(mine, multisets[s]));
+        if (bits(cs.p_plus) != bits(ref_chain[c].p_plus) ||
+            bits(cs.ec) != bits(ref_chain[c].ec) ||
+            bits(ss.p_plus) != bits(ref_set[s].p_plus) ||
+            bits(ss.ec) != bits(ref_set[s].ec)) {
+          ++mismatches;
+        }
+      };
+      markov::ChainSurvival& surv = shared.survival(mine[slow]);
+      ready.fetch_add(1);
+      while (ready.load() < kThreads) std::this_thread::yield();
+      if (tid % 2 == 0) {
+        // Growers: staggered targets, so the two race on appends and
+        // grow-copies; quad queries in between.
+        for (long t = 37 + 53 * tid; t <= kDepth; t += 211) {
+          if (bits(surv.grow_to(t)) != bits(ref_table[static_cast<std::size_t>(t)])) {
+            ++mismatches;
+          }
+          check_quads(static_cast<std::size_t>(t) % chains.size(),
+                      static_cast<std::size_t>(t) % multisets.size());
+        }
+        if (bits(surv.grow_to(kDepth)) != bits(ref_table.back())) ++mismatches;
+      } else {
+        // Readers: whatever prefix is published right now, read through
+        // whatever array is current, with no lock in between.
+        for (;;) {
+          const long n = surv.published();
+          const double* flat = surv.flat();
+          for (long k = n - 1; k >= 0; k -= 1 + k / 32) {
+            if (bits(flat[k]) != bits(ref_table[static_cast<std::size_t>(k)])) {
+              ++mismatches;
+            }
+            prefix_reads.fetch_add(1, std::memory_order_relaxed);
+          }
+          if (n > kDepth) break;
+          std::this_thread::yield();
+        }
+        for (std::size_t s = 0; s < multisets.size(); ++s) {
+          check_quads((s + static_cast<std::size_t>(tid)) % chains.size(), s);
+        }
+      }
+    });
+  }
+  for (auto& th : threads) th.join();
+
+  EXPECT_EQ(mismatches.load(), 0);
+  EXPECT_GT(prefix_reads.load(), 0);
+  for (int tid = 1; tid < kThreads; ++tid) {
+    EXPECT_EQ(ids[static_cast<std::size_t>(tid)], ids[0]) << "thread " << tid;
+  }
+  markov::ChainSurvival& surv = shared.survival(ids[0][slow]);
+  ASSERT_EQ(surv.published(), kDepth + 1);
+  for (long t = 0; t <= kDepth; ++t) {
+    ASSERT_EQ(bits(surv.at(t)), bits(ref_table[static_cast<std::size_t>(t)]))
+        << "t=" << t;
+  }
+  const auto counters = shared.counters();
+  EXPECT_EQ(counters.chains, chains.size());
+  EXPECT_EQ(counters.set_entries, multisets.size());
+  EXPECT_EQ(counters.bytes, shared.bytes());
 }
 
 // --------------------------------------------------- estimator as a view ----
@@ -510,6 +632,7 @@ TEST(Observability, SessionCountersPopulateAndClearCachesResets) {
   EXPECT_GT(counters.set_misses, 0u);
   EXPECT_GT(counters.survival_entries, 0u);
   EXPECT_GT(counters.bytes, 0u);
+  EXPECT_EQ(session.chain_store_bytes(), counters.bytes);
   EXPECT_GT(session.cached_entries(), 0u);
 
   session.clear_caches();
@@ -517,6 +640,7 @@ TEST(Observability, SessionCountersPopulateAndClearCachesResets) {
   const auto reset = session.chain_store_counters();
   EXPECT_EQ(reset.chains, 0u);
   EXPECT_EQ(reset.bytes, 0u);
+  EXPECT_EQ(session.chain_store_bytes(), reset.bytes);
 }
 
 }  // namespace

@@ -307,14 +307,12 @@ TEST(Serve, TenantQuotasEnforcedAndVisible) {
   EXPECT_GT(big->find("chain_store")->find("bytes")->as_uint(), 0u);
 }
 
-TEST(Serve, QuotaEvictionWithStoreDirKeepsWarmthAndRowsIdentical) {
-  // DESIGN.md §14: with --store-dir, the DRAINING eviction trades memory
-  // but NOT warmth — clear_caches() flushes the tenant store to disk before
-  // dropping the heap, and a resubmission's re-interned chains are served
-  // from the shared persistent cache instead of recomputed.
+TEST(Serve, QuotaEvictionThenResubmitIsByteIdentical) {
+  // The DRAINING eviction trades warmth, not correctness: a resubmission
+  // into the evicted tenant session rebuilds its chain store from scratch
+  // and must stream the same rows as the first pass.
   serve::ServerOptions opts;
-  opts.root = fresh_root("store_evict");
-  opts.store_dir = fresh_root("store_evict_cache");
+  opts.root = fresh_root("evict_resubmit");
   opts.threads = 2;
   // 1-byte chain-store bound: every unit that grew the store evicts.
   opts.tenant_quotas["small"] = serve::TenantQuota{64ull << 20, 1};
@@ -329,25 +327,12 @@ TEST(Serve, QuotaEvictionWithStoreDirKeepsWarmthAndRowsIdentical) {
   EXPECT_EQ(end1.find("state")->as_string(), "done");
   EXPECT_GT(server.tenant_evictions("small"), 0u);
 
-  // Resubmit the same sweep: the evicted session recomputes nothing the
-  // cache holds — and the rows are byte-identical to the first pass.
   const json::Value ack2 = client.submit(spec, "small");
   ASSERT_TRUE(is_ok(ack2)) << error_of(ack2);
   const auto [rows2, end2] =
       client.stream_results(ack2.find("job")->as_string());
   EXPECT_EQ(end2.find("state")->as_string(), "done");
   EXPECT_EQ(sorted(rows1), sorted(rows2));
-
-  // The persistent section is visible over the wire, with real hits.
-  const json::Value counters = client.roundtrip(serve::counters_request());
-  ASSERT_TRUE(is_ok(counters));
-  const json::Value* small = counters.find("tenants")->find("small");
-  ASSERT_NE(small, nullptr);
-  const json::Value* persistent = small->find("persistent");
-  ASSERT_NE(persistent, nullptr);
-  EXPECT_GT(persistent->find("generations")->as_uint(), 0u);
-  EXPECT_GT(persistent->find("chain_hits")->as_uint(), 0u);
-  EXPECT_GT(persistent->find("flushed_entries")->as_uint(), 0u);
 }
 
 TEST(Serve, CancelMidSweepReturnsPartialAndSticksAcrossRestart) {

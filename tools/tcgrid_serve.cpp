@@ -7,18 +7,12 @@
 //
 // Usage:
 //   tcgrid_serve --socket /tmp/tcgrid.sock --root /var/lib/tcgrid \
-//                [--threads N] [--eps 1e-6] [--store-dir DIR] \
+//                [--threads N] [--eps 1e-6] \
 //                [--default-quota RB:CB] [--quota tenant=RB:CB]... \
 //                [--no-obs] [--trace PATH]
 //
 // RB:CB are the per-tenant realization-budget and chain-store-bytes quotas,
 // as byte counts with an optional k/m/g suffix (e.g. 64m:512m).
-//
-// --store-dir enables the persistent chain-statistics cache (DESIGN.md
-// §14): one content-addressed generation directory shared by every tenant
-// session, mmap'd read-only and flushed at job completion and eviction
-// quiesce points. Restarting the daemon — or running several daemons on
-// the directory — reuses everything already computed.
 //
 // Observability (DESIGN.md §12) is ON by default in the daemon — the
 // `metrics` verb is the point of running one — and its enabled-path cost is
@@ -66,12 +60,11 @@ using tcgrid::serve::TenantQuota;
 [[noreturn]] void usage(const char* argv0) {
   std::fprintf(stderr,
                "usage: %s --socket PATH --root DIR [--threads N] [--eps X]\n"
-               "          [--store-dir DIR] [--default-quota RB:CB]\n"
-               "          [--quota tenant=RB:CB]... [--no-obs] [--trace PATH]\n"
+               "          [--default-quota RB:CB] [--quota tenant=RB:CB]...\n"
+               "          [--no-obs] [--trace PATH]\n"
                "          [--listen-tcp HOST:PORT] [--coordinator]\n"
                "          [--shard ADDR]... [--heartbeat-ms N] [--heartbeat-timeout-ms N]\n"
                "  RB:CB = realization-budget : chain-store bytes, optional k/m/g suffix\n"
-               "  --store-dir enables the shared persistent chain-statistics cache\n"
                "  --no-obs disables metric updates; --trace appends span events to PATH\n"
                "  --listen-tcp also accepts the protocol on a TCP port\n"
                "  --coordinator runs no local workers: units are leased to --shard\n"
@@ -128,7 +121,6 @@ int main(int argc, char** argv) {
       else if (arg == "--root") options.root = next();
       else if (arg == "--threads") options.threads = std::stoul(next());
       else if (arg == "--eps") options.eps = std::stod(next());
-      else if (arg == "--store-dir") options.store_dir = next();
       else if (arg == "--default-quota") options.default_quota = parse_quota(next());
       else if (arg == "--quota") {
         const std::string v = next();
