@@ -37,8 +37,7 @@ std::vector<TrialSpec> make_trials(int scenarios, int trials) {
     params.seed = 300 + static_cast<std::uint64_t>(sc);
     auto scenario = platform::make_scenario(params);
     for (int t = 0; t < trials; ++t) {
-      specs.push_back({scenario, util::derive_seed(params.seed, 1000 +
-                                                   static_cast<std::uint64_t>(t))});
+      specs.push_back({scenario, api::trial_seed(params, t)});
     }
   }
   return specs;

@@ -14,6 +14,7 @@
 #include <vector>
 
 #include "api/api.hpp"
+#include "expt/metrics.hpp"
 #include "expt/report.hpp"
 #include "util/cli.hpp"
 #include "util/json.hpp"

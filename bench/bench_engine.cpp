@@ -153,7 +153,7 @@ std::uint64_t counter_value(const obs::Snapshot& snap, std::string_view name,
   return m == nullptr ? 0 : m->value;
 }
 
-SweepTiming run_sweep(const api::ExperimentSpec& base, const std::string& heuristic,
+SweepTiming time_sweep(const api::ExperimentSpec& base, const std::string& heuristic,
                       bool fast_forward) {
   api::ExperimentSpec spec = base;
   spec.heuristics = {heuristic};
@@ -203,8 +203,8 @@ int emit_json(const util::Cli& cli) {
   json::Array rows;
   bool all_identical = true;
   for (const std::string& name : heuristics) {
-    const SweepTiming off = run_sweep(spec, name, false);
-    const SweepTiming on = run_sweep(spec, name, true);
+    const SweepTiming off = time_sweep(spec, name, false);
+    const SweepTiming on = time_sweep(spec, name, true);
     const bool identical = on.digest == off.digest && on.slots == off.slots;
     all_identical = all_identical && identical;
     const double on_rate = static_cast<double>(on.slots) / on.seconds;

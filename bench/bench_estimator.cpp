@@ -7,16 +7,16 @@
 //    per scheduling decision);
 //  * --emit_json[=PATH]: the CI perf smoke for the canonical chain-stats
 //    store (DESIGN.md §10) — time cold Estimator construction+evaluate,
-//    warm evaluate and survival-table growth with a shared
-//    markov::ChainStatsStore vs per-estimator private stores (the
-//    Options::shared_chain_stats ablation), verify every estimate is
-//    bit-identical between the two, and write the timings plus store hit
-//    rates to BENCH_estimator.json. Exit codes: 0 ok, 2 on any
-//    shared/private divergence (CI fails on it).
+//    warm evaluate, survival-table growth and warm resubmission over a
+//    shared markov::ChainStatsStore, verify that the estimates read through
+//    the warm shared store are bit-identical to a fresh store's, and write
+//    the timings plus store hit rates to BENCH_estimator.json. Exit codes:
+//    0 ok, 2 on any warm/fresh divergence (CI fails on it).
 #include <benchmark/benchmark.h>
 
 #include <chrono>
 #include <cstdio>
+#include <cstring>
 #include <memory>
 #include <span>
 #include <string>
@@ -71,8 +71,8 @@ void BM_RenewalRecursion(benchmark::State& state) {
 BENCHMARK(BM_RenewalRecursion)->RangeMultiplier(4)->Range(64, 4096)->Complexity();
 
 void BM_EstimatorEvaluate_Cold(benchmark::State& state) {
-  // Fresh estimator (private store) every pass: measures uncached set
-  // statistics — the shared_chain_stats=off ablation cost.
+  // Fresh estimator owning a fresh store every pass: measures uncached set
+  // statistics — what the first estimator over an empty store pays.
   platform::ScenarioParams params;
   params.seed = 5;
   const auto scenario = platform::make_scenario(params);
@@ -92,7 +92,7 @@ BENCHMARK(BM_EstimatorEvaluate_Cold)->DenseRange(2, 10, 2);
 void BM_EstimatorEvaluate_ColdSharedStore(benchmark::State& state) {
   // Fresh estimator VIEW per pass over one warm shared store: what a new
   // scenario-cell estimator costs once the session store has seen the
-  // chains (the shared_chain_stats=on steady state).
+  // chains (a Session's steady state).
   platform::ScenarioParams params;
   params.seed = 5;
   const auto scenario = platform::make_scenario(params);
@@ -142,7 +142,8 @@ void BM_PNoDownTable(benchmark::State& state) {
 BENCHMARK(BM_PNoDownTable)->RangeMultiplier(8)->Range(8, 4096);
 
 // ---------------------------------------------------------------------------
-// --emit_json mode: shared vs private chain-stats store comparison.
+// --emit_json mode: shared chain-stats store timings and the warm/fresh
+// identity gate.
 // ---------------------------------------------------------------------------
 
 /// The paper's homogeneous special case: p identical workers on ONE chain
@@ -172,29 +173,54 @@ platform::Scenario homogeneous_scenario(int p) {
   return platform::Scenario{platform::Platform(std::move(procs), 5), app, params};
 }
 
-struct ModeTiming {
+struct StoreTiming {
   double cold_us = 0.0;       ///< construct + first-decision evaluates, fresh estimator
   double warm_ns = 0.0;       ///< evaluate on a warm estimator
   double growth_us = 0.0;     ///< p_no_down deep-table growth, fresh estimator
-  std::vector<sched::IterationEstimate> probes;  ///< divergence-gate samples
 };
 
 double seconds_since(std::chrono::steady_clock::time_point t0) {
   return std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
 }
 
-/// One mode's measurements. `store` null = private stores (the ablation).
-ModeTiming time_mode(const platform::Scenario& scenario,
-                     const std::shared_ptr<markov::ChainStatsStore>& store,
-                     int reps) {
-  ModeTiming out;
+/// The probe set: workers 0..k-1, each needing 12 communication slots.
+struct Probe {
   std::vector<int> set;
   std::vector<sched::Estimator::CommNeed> needs;
+};
+
+Probe probe_for(const platform::Scenario& scenario) {
+  Probe p;
   const int k = std::min(10, scenario.platform.size());
   for (int q = 0; q < k; ++q) {
-    set.push_back(q);
-    needs.push_back({q, 12});
+    p.set.push_back(q);
+    p.needs.push_back({q, 12});
   }
+  return p;
+}
+
+/// A first decision's candidate evaluations (the builder scores growing
+/// prefix sets) plus one deep survival read: the divergence-gate samples.
+std::vector<double> probe_values(const sched::Estimator& est, const Probe& p) {
+  std::vector<double> out;
+  for (std::size_t len = 1; len <= p.set.size(); ++len) {
+    const auto e =
+        est.evaluate(std::span(p.needs).first(len), std::span(p.set).first(len), 20);
+    out.push_back(e.p_success);
+    out.push_back(e.e_time);
+  }
+  out.push_back(est.p_no_down(0, 20'000));
+  return out;
+}
+
+/// Timings over one shared store, which every estimator below resolves
+/// through (so it ends warm).
+StoreTiming time_store(const platform::Scenario& scenario, const Probe& probe,
+                       const std::shared_ptr<markov::ChainStatsStore>& store, int reps) {
+  StoreTiming out;
+  const std::vector<int>& set = probe.set;
+  const std::vector<sched::Estimator::CommNeed>& needs = probe.needs;
+  const int k = static_cast<int>(set.size());
 
   // Cold: construction + a first incremental decision's worth of candidate
   // evaluations (the builder scores growing prefix sets) per fresh
@@ -203,10 +229,9 @@ ModeTiming time_mode(const platform::Scenario& scenario,
   auto t0 = std::chrono::steady_clock::now();
   for (int r = 0; r < reps; ++r) {
     sched::Estimator est(scenario.platform, scenario.app, 1e-6, store);
-    out.probes.clear();
     for (int len = 1; len <= k; ++len) {
-      out.probes.push_back(est.evaluate(std::span(needs).first(len),
-                                        std::span(set).first(len), 20));
+      benchmark::DoNotOptimize(
+          est.evaluate(std::span(needs).first(len), std::span(set).first(len), 20));
     }
   }
   out.cold_us = seconds_since(t0) * 1e6 / reps;
@@ -221,8 +246,8 @@ ModeTiming time_mode(const platform::Scenario& scenario,
   }
   out.warm_ns = seconds_since(t0) * 1e9 / warm_reps;
 
-  // Table growth: a deep survival query on a fresh estimator (shared mode
-  // reads the already-grown store table; private mode re-tabulates).
+  // Table growth: a deep survival query on a fresh estimator (the first
+  // rep tabulates; later reps read the already-grown store table).
   t0 = std::chrono::steady_clock::now();
   for (int r = 0; r < reps; ++r) {
     sched::Estimator est(scenario.platform, scenario.app, 1e-6, store);
@@ -244,19 +269,13 @@ struct ResubmitTiming {
   double resubmit_us = 0.0;
 };
 
-ResubmitTiming time_warm_resubmit(const platform::Scenario& scenario, int reps) {
+ResubmitTiming time_warm_resubmit(const platform::Scenario& scenario,
+                                  const Probe& probe, int reps) {
   ResubmitTiming out;
-  std::vector<int> set;
-  std::vector<sched::Estimator::CommNeed> needs;
-  const int k = std::min(10, scenario.platform.size());
-  for (int q = 0; q < k; ++q) {
-    set.push_back(q);
-    needs.push_back({q, 12});
-  }
   auto first_decision = [&](sched::Estimator& est) {
-    for (int len = 1; len <= k; ++len) {
-      benchmark::DoNotOptimize(
-          est.evaluate(std::span(needs).first(len), std::span(set).first(len), 20));
+    for (std::size_t len = 1; len <= probe.set.size(); ++len) {
+      benchmark::DoNotOptimize(est.evaluate(std::span(probe.needs).first(len),
+                                            std::span(probe.set).first(len), 20));
     }
   };
 
@@ -282,13 +301,10 @@ ResubmitTiming time_warm_resubmit(const platform::Scenario& scenario, int reps) 
   return out;
 }
 
-bool bit_identical(const std::vector<sched::IterationEstimate>& a,
-                   const std::vector<sched::IterationEstimate>& b) {
-  if (a.size() != b.size()) return false;
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    if (a[i].p_success != b[i].p_success || a[i].e_time != b[i].e_time) return false;
-  }
-  return true;
+/// Bitwise comparison: a store's outputs must not depend on its history.
+bool bit_identical(const std::vector<double>& a, const std::vector<double>& b) {
+  return a.size() == b.size() &&
+         std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0;
 }
 
 int emit_json(const util::Cli& cli) {
@@ -312,27 +328,27 @@ int emit_json(const util::Cli& cli) {
   json::Array platforms;
   bool all_identical = true;
   for (const Case& c : cases) {
-    // Shared store: session-style, one store for every estimator of the
-    // case. Private: the shared_chain_stats=off ablation.
+    // Session-style: one store for every estimator of the case. After the
+    // timings it is warm; its answers must equal a fresh store's bit for bit.
+    const Probe probe = probe_for(c.scenario);
     auto store = std::make_shared<markov::ChainStatsStore>(1e-6);
-    const ModeTiming shared = time_mode(c.scenario, store, reps);
-    const ModeTiming priv = time_mode(c.scenario, nullptr, reps);
-    const ResubmitTiming resubmit = time_warm_resubmit(c.scenario, reps);
-    const bool identical = bit_identical(shared.probes, priv.probes);
-    all_identical = all_identical && identical;
+    const StoreTiming timing = time_store(c.scenario, probe, store, reps);
+    const ResubmitTiming resubmit = time_warm_resubmit(c.scenario, probe, reps);
     const auto counters = store->counters();
+    const sched::Estimator warm(c.scenario.platform, c.scenario.app, 1e-6, store);
+    const sched::Estimator fresh(c.scenario.platform, c.scenario.app, 1e-6,
+                                 std::make_shared<markov::ChainStatsStore>(1e-6));
+    const bool identical =
+        bit_identical(probe_values(warm, probe), probe_values(fresh, probe));
+    all_identical = all_identical && identical;
 
     platforms.push_back(json::Object{
         {"name", c.name},
         {"p", static_cast<unsigned long long>(c.scenario.platform.size())},
         {"distinct_chains", counters.chains},
-        {"cold_us", json::Object{{"shared", shared.cold_us},
-                                 {"private", priv.cold_us},
-                                 {"speedup", priv.cold_us / shared.cold_us}}},
-        {"warm_evaluate_ns",
-         json::Object{{"shared", shared.warm_ns}, {"private", priv.warm_ns}}},
-        {"table_growth_us",
-         json::Object{{"shared", shared.growth_us}, {"private", priv.growth_us}}},
+        {"cold_us", timing.cold_us},
+        {"warm_evaluate_ns", timing.warm_ns},
+        {"table_growth_us", timing.growth_us},
         {"warm_resubmit_us",
          json::Object{{"first_submit", resubmit.first_us},
                       {"resubmit", resubmit.resubmit_us},
@@ -347,11 +363,9 @@ int emit_json(const util::Cli& cli) {
         {"identical", identical},
     });
     std::fprintf(stderr,
-                 "%-12s cold %8.2fus shared / %8.2fus private (x%.1f)  warm "
-                 "%6.0fns / %6.0fns  growth %8.2fus / %8.2fus  resubmit "
-                 "%8.2fus vs first %8.2fus (x%.1f)  %s\n",
-                 c.name, shared.cold_us, priv.cold_us, priv.cold_us / shared.cold_us,
-                 shared.warm_ns, priv.warm_ns, shared.growth_us, priv.growth_us,
+                 "%-12s cold %8.2fus  warm %6.0fns  growth %8.2fus  resubmit %8.2fus "
+                 "vs first %8.2fus (x%.1f)  warm/fresh %s\n",
+                 c.name, timing.cold_us, timing.warm_ns, timing.growth_us,
                  resubmit.resubmit_us, resubmit.first_us,
                  resubmit.first_us / resubmit.resubmit_us,
                  identical ? "identical" : "MISMATCH");
@@ -366,7 +380,7 @@ int emit_json(const util::Cli& cli) {
       rc != 0) {
     return rc;
   }
-  return all_identical ? 0 : 2;  // CI fails on shared/private divergence
+  return all_identical ? 0 : 2;  // CI fails on warm/fresh divergence
 }
 
 }  // namespace

@@ -16,27 +16,13 @@
 #include <vector>
 
 #include "api/api.hpp"
-#include "expt/runner.hpp"
 #include "platform/scenario.hpp"
 #include "scen/scen.hpp"
 #include "sched/registry.hpp"
 #include "util/cli.hpp"
 #include "util/table.hpp"
 
-namespace {
-
 using namespace tcgrid;
-
-long run_with(const platform::Platform& real, const model::Application& app,
-              platform::AvailabilitySource& avail, const sched::Estimator& est,
-              const std::string& name, long cap) {
-  auto sched = sched::make_scheduler(name, est, 7);
-  api::Options options;
-  options.slot_cap = cap;
-  return api::Session::run_custom(options, real, app, avail, *sched).makespan;
-}
-
-}  // namespace
 
 int main(int argc, char** argv) {
   util::Cli cli(argc, argv);
@@ -55,6 +41,11 @@ int main(int argc, char** argv) {
 
   std::vector<double> sum_a(heuristics.size(), 0.0), sum_b(heuristics.size(), 0.0);
   std::vector<int> count_a(heuristics.size(), 0), count_b(heuristics.size(), 0);
+  // World A is the paper's paired trial, so it runs through a Session;
+  // World B keeps the trial's seeds but swaps the source and the estimator.
+  api::Options options;
+  options.slot_cap = cap;
+  api::Session session(options);
 
   for (int sc = 0; sc < scenarios; ++sc) {
     platform::ScenarioParams params;
@@ -63,9 +54,6 @@ int main(int argc, char** argv) {
     params.wmin = 1 + 3 * sc;  // spread across difficulty
     params.seed = 100 + static_cast<std::uint64_t>(sc);
     const auto scenario = platform::make_scenario(params);
-
-    // World A estimator: the true Markov model.
-    sched::Estimator true_est(scenario.platform, scenario.app, 1e-6);
 
     // Semi-Markov truth for World B: the weibull family (Weibull sojourns
     // matched to the platform's chains) — shared with bench_scen.
@@ -80,22 +68,21 @@ int main(int argc, char** argv) {
     for (int trial = 0; trial < trials; ++trial) {
       for (std::size_t h = 0; h < heuristics.size(); ++h) {
         // World A: Markov availability, true model.
-        platform::MarkovAvailability avail_a(
-            scenario.platform, expt::trial_seed(scenario, trial));
-        const long ma = run_with(scenario.platform, scenario.app, avail_a,
-                                 true_est, heuristics[h], cap);
-        if (ma < cap) {
-          sum_a[h] += static_cast<double>(ma);
+        const auto ra = session.run_trial(params, heuristics[h], trial);
+        if (ra.success) {
+          sum_a[h] += static_cast<double>(ra.makespan);
           ++count_a[h];
         }
         // World B: semi-Markov availability, fitted (wrong) model.
         auto avail_b = truth_family->make_source(scenario.platform,
-                                                 expt::trial_seed(scenario, trial),
+                                                 api::trial_seed(params, trial),
                                                  platform::InitialStates::Stationary);
-        const long mb = run_with(scenario.platform, scenario.app, *avail_b,
-                                 fitted_est, heuristics[h], cap);
-        if (mb < cap) {
-          sum_b[h] += static_cast<double>(mb);
+        auto scheduler = sched::make_scheduler(heuristics[h], fitted_est,
+                                               api::scheduler_seed(params, trial));
+        const auto rb =
+            session.run_custom(scenario.platform, scenario.app, *avail_b, *scheduler);
+        if (rb.success) {
+          sum_b[h] += static_cast<double>(rb.makespan);
           ++count_b[h];
         }
       }

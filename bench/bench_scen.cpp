@@ -24,7 +24,6 @@
 #include <vector>
 
 #include "api/api.hpp"
-#include "expt/runner.hpp"
 #include "platform/cyclostationary.hpp"
 #include "platform/scenario.hpp"
 #include "scen/scen.hpp"
@@ -238,11 +237,10 @@ int main(int argc, char** argv) {
         }
         // World B: semi-Markov truth via the registry, fitted (wrong) model.
         auto truth = truth_family->make_source(scenario.platform,
-                                               expt::trial_seed(scenario, trial),
+                                               api::trial_seed(params, trial),
                                                platform::InitialStates::Stationary);
-        auto scheduler = sched::make_scheduler(
-            heuristics[h], fitted_est,
-            util::derive_seed(params.seed, 2000 + static_cast<std::uint64_t>(trial)));
+        auto scheduler = sched::make_scheduler(heuristics[h], fitted_est,
+                                               api::scheduler_seed(params, trial));
         const auto rb =
             session.run_custom(scenario.platform, scenario.app, *truth, *scheduler);
         if (rb.success) {

@@ -263,7 +263,7 @@ ShardedTiming run_sharded(const api::ExperimentSpec& spec, long shards,
   return out;
 }
 
-SweepTiming run_sweep(const api::ExperimentSpec& spec) {
+SweepTiming time_sweep(const api::ExperimentSpec& spec) {
   api::Session session(spec.options);
   DigestSink digest;
   const auto t0 = std::chrono::steady_clock::now();
@@ -346,8 +346,8 @@ int main(int argc, char** argv) {
   WarmPassTiming warm_t;
   ShardedTiming sharded_t;
   for (long r = 0; r < reps; ++r) {
-    const SweepTiming l = run_sweep(live);
-    const SweepTiming s = run_sweep(spec);
+    const SweepTiming l = time_sweep(live);
+    const SweepTiming s = time_sweep(spec);
     const WarmPassTiming w = run_warm_pass(spec);
     if (shards > 0) {
       const ShardedTiming sh = run_sharded(spec, shards, shard_tmp, r);
@@ -369,7 +369,7 @@ int main(int argc, char** argv) {
     // instrumented-path overhead measurement. Interleaved with the other
     // arms so all of them see the same machine noise.
     obs::configure({.enabled = true});
-    const SweepTiming o = run_sweep(spec);
+    const SweepTiming o = time_sweep(spec);
     obs::configure({});
     if (r == 0) {
       live_t = l;

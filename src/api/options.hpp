@@ -1,11 +1,6 @@
-// The ONE options struct of the experiment facade.
-//
-// Before the facade existed, the same knobs were triplicated across
-// sim::EngineOptions (slot cap, comm order, tracing), expt::RunOptions
-// (slot cap again, estimator eps, initial states) and expt::SweepConfig
-// (slot cap and eps a third time, plus threads and the master seed).
-// api::Options unifies them; the legacy structs are derived from it at the
-// point of use and remain only for source compatibility.
+// The ONE options struct of the experiment facade: engine, realization,
+// estimator, availability and execution knobs in one block, from which the
+// engine view (sim::EngineOptions) is derived at the point of use.
 #pragma once
 
 #include <cstddef>
@@ -41,19 +36,10 @@ struct Options {
   std::size_t realization_budget = 64ull << 20;  ///< 64 MiB
 
   // --- estimator -----------------------------------------------------------
-  double eps = 1e-6;  ///< truncation precision of the §V series
-
-  // --- shared chain statistics (DESIGN.md §10) ------------------------------
-  /// Share one markov::ChainStatsStore across every estimator the session
-  /// builds: UR sub-matrices are interned by content, and the §V series math
-  /// — per-chain survival tables, per-chain and multiset-keyed coupled
-  /// statistics — is computed once per DISTINCT chain for all processors,
-  /// heuristics, trials, scenario cells and worker threads (on a homogeneous
-  /// platform, one entry per set size instead of p-choose-k). Results are
-  /// bit-identical on and off (enforced by tests and the bench_estimator
-  /// divergence gate); false gives every estimator a private store — the
-  /// ablation baseline matching the old per-estimator caches.
-  bool shared_chain_stats = true;
+  /// Truncation precision of the §V series. Every estimator a Session builds
+  /// resolves through the session's one markov::ChainStatsStore (DESIGN.md
+  /// §10), which is built with this eps.
+  double eps = 1e-6;
 
   // --- availability --------------------------------------------------------
   platform::InitialStates init = platform::InitialStates::Stationary;

@@ -4,7 +4,6 @@
 #include <cassert>
 #include <optional>
 
-#include "expt/runner.hpp"
 #include "obs/obs.hpp"
 #include "sched/registry.hpp"
 #include "sim/engine.hpp"
@@ -102,10 +101,9 @@ void flush_engine_telemetry(const sim::Engine& engine, const sim::Scheduler& sch
 
 }  // namespace
 
-Session::Session(Options options) : options_(std::move(options)) {
-  if (options_.shared_chain_stats) {
-    chain_store_ = std::make_shared<markov::ChainStatsStore>(options_.eps);
-  }
+Session::Session(Options options)
+    : options_(std::move(options)),
+      chain_store_(std::make_shared<markov::ChainStatsStore>(options_.eps)) {
   // The kernel is fixed for the process, so the info gauge is written once
   // per session rather than per run: it is in the scrape before the first
   // run finishes, and again after a registry value reset.
@@ -149,12 +147,10 @@ Session::ScenarioEntry& Session::entry_for(
 void Session::clear_caches() {
   const std::lock_guard<std::mutex> lock(cache_mutex_);
   caches_.clear();
-  if (chain_store_ != nullptr) {
-    // The estimators holding the old store are gone with the caches; a
-    // fresh store releases its survival tables and set entries (the bulk of
-    // a hot sweep's estimator memory).
-    chain_store_ = std::make_shared<markov::ChainStatsStore>(options_.eps);
-  }
+  // The estimators holding the old store are gone with the caches; a fresh
+  // store releases its survival tables and set entries (the bulk of a hot
+  // sweep's estimator memory).
+  chain_store_ = std::make_shared<markov::ChainStatsStore>(options_.eps);
 }
 
 void Session::drop_estimator_caches() {
@@ -164,28 +160,16 @@ void Session::drop_estimator_caches() {
   caches_.clear();
 }
 
-markov::ChainStatsStore::Counters Session::chain_store_counters() {
-  // Copy the pointer under the cache mutex: clear_caches() reassigns
-  // chain_store_ under the same lock, so a monitoring thread polling
-  // counters mid-sweep cannot race the swap (the store itself is
-  // thread-safe; only the member read needs the lock).
-  std::shared_ptr<markov::ChainStatsStore> store;
-  {
-    const std::lock_guard<std::mutex> lock(cache_mutex_);
-    store = chain_store_;
-  }
-  if (store == nullptr) return {};
-  return store->counters();
+std::shared_ptr<markov::ChainStatsStore> Session::current_store() {
+  const std::lock_guard<std::mutex> lock(cache_mutex_);
+  return chain_store_;
 }
 
-std::size_t Session::chain_store_bytes() {
-  std::shared_ptr<markov::ChainStatsStore> store;
-  {
-    const std::lock_guard<std::mutex> lock(cache_mutex_);
-    store = chain_store_;
-  }
-  return store == nullptr ? 0 : store->bytes();
+markov::ChainStatsStore::Counters Session::chain_store_counters() {
+  return current_store()->counters();
 }
+
+std::size_t Session::chain_store_bytes() { return current_store()->bytes(); }
 
 std::size_t Session::cached_entries() {
   const std::lock_guard<std::mutex> lock(cache_mutex_);
@@ -208,14 +192,13 @@ sim::SimulationResult Session::run_one(const Options& options,
                                        const sched::Estimator& estimator,
                                        std::string_view heuristic, int trial,
                                        sim::ActivityTrace* trace) {
-  // Availability and RANDOM-scheduler streams use the exact derivations of
-  // expt::run_trial, so facade runs in the default space are byte-identical
-  // to legacy runs; other spaces swap only the availability law.
+  // The paired-trial seeds (api::trial_seed / scheduler_seed): every
+  // heuristic of a trial faces the same stream; other spaces swap only the
+  // availability law.
   const auto availability = family.make_source(
-      scenario.platform, expt::trial_seed(scenario, trial), options.init);
-  auto scheduler = sched::make_scheduler(
-      heuristic, estimator,
-      util::derive_seed(scenario.params.seed, 2000 + static_cast<std::uint64_t>(trial)));
+      scenario.platform, trial_seed(scenario.params, trial), options.init);
+  auto scheduler = sched::make_scheduler(heuristic, estimator,
+                                         scheduler_seed(scenario.params, trial));
   sim::Engine engine(scenario.platform, scenario.app, *availability, *scheduler,
                      options.engine(trace != nullptr));
   sim::SimulationResult result;
@@ -235,9 +218,8 @@ sim::SimulationResult Session::run_replayed(const Options& options,
                                             std::string_view heuristic, int trial) {
   // Scheduler seeding is identical to run_one: only where availability rows
   // come from differs, so replayed runs are bit-identical to live ones.
-  auto scheduler = sched::make_scheduler(
-      heuristic, estimator,
-      util::derive_seed(scenario.params.seed, 2000 + static_cast<std::uint64_t>(trial)));
+  auto scheduler = sched::make_scheduler(heuristic, estimator,
+                                         scheduler_seed(scenario.params, trial));
   sim::Engine engine(scenario.platform, scenario.app, realization, *scheduler,
                      options.engine(false));
   // Timed manually rather than via ScopedTimer: engine.run() can throw
@@ -339,7 +321,7 @@ std::vector<sim::SimulationResult> Session::run_unit(
   if (options.realization_budget > 0) {
     realization.emplace(
         availability.make_source(entry.scenario.platform,
-                                 expt::trial_seed(entry.scenario, trial),
+                                 trial_seed(entry.scenario.params, trial),
                                  options.init),
         options.realization_budget);
   }

@@ -10,8 +10,7 @@
 //                           source and/or scheduler (scripted traces,
 //                           clairvoyant references, ablation schedulers).
 //
-// Thread-safety contract (the rule formerly only stated as a comment in
-// expt/runner.hpp, now enforced structurally):
+// Thread-safety contract:
 //
 //   * sched::Estimator is NOT thread-safe, and estimator cache warmth is the
 //     dominant cost of a sweep. The session keeps one estimator cache PER
@@ -20,7 +19,7 @@
 //   * ResultSink::consume and the progress callback may be invoked from
 //     worker threads but are serialized under an internal mutex: no two
 //     calls ever run concurrently, so unsynchronized sink/callback state is
-//     safe. (Legacy expt::run_sweep inherits this guarantee.)
+//     safe.
 //   * run_trial / run_custom / scenario_for may be called from any ONE
 //     thread at a time; concurrent calls into the same Session from
 //     different user threads are serialized by the same per-thread caching
@@ -179,15 +178,14 @@ class Session {
   /// share it with another thread.
   [[nodiscard]] const sched::Estimator& estimator_for(const platform::ScenarioParams& params);
 
-  /// Drop every thread's cached scenario/estimator entries, and (when
-  /// options().shared_chain_stats) replace the shared chain-statistics
-  /// store with a fresh one — the store's survival tables and set entries
-  /// are where a long sweep's estimator memory actually lives. A long-lived
-  /// session that sweeps many scenario populations otherwise retains one
-  /// estimator per (thread, scenario) forever; call this between sweeps
-  /// (cells) to bound memory. MUST NOT run concurrently with run /
-  /// run_trial / scenario_for / estimator_for — references returned by
-  /// those calls are invalidated.
+  /// Drop every thread's cached scenario/estimator entries and replace the
+  /// shared chain-statistics store with a fresh one — the store's survival
+  /// tables and set entries are where a long sweep's estimator memory
+  /// actually lives. A long-lived session that sweeps many scenario
+  /// populations otherwise retains one estimator per (thread, scenario)
+  /// forever; call this between sweeps (cells) to bound memory. MUST NOT run
+  /// concurrently with run / run_trial / scenario_for / estimator_for —
+  /// references returned by those calls are invalidated.
   void clear_caches();
 
   /// Drop every thread's cached scenario/estimator entries but RETAIN the
@@ -204,11 +202,9 @@ class Session {
   /// §10): distinct chains interned, intern dedup hits, multiset set-stats
   /// entries/hits/misses, published survival entries and resident bytes —
   /// the byte accounting counterpart of Options::realization_budget's
-  /// budget, reported alongside cached_entries(). All zeros when
-  /// shared_chain_stats is off (each estimator then owns a private store).
-  /// Counters are cumulative until clear_caches() resets the store. Safe
-  /// to call from any thread at any time (the store pointer is read under
-  /// the cache mutex; the store itself is thread-safe).
+  /// budget, reported alongside cached_entries(). Counters are cumulative
+  /// until clear_caches() resets the store. Safe to call from any thread at
+  /// any time (see current_store()).
   [[nodiscard]] markov::ChainStatsStore::Counters chain_store_counters();
 
   /// chain_store_counters().bytes without walking the store: one relaxed
@@ -216,16 +212,6 @@ class Session {
   /// daemon's per-unit quota check. Same thread-safety as
   /// chain_store_counters().
   [[nodiscard]] std::size_t chain_store_bytes();
-
-  /// The session-shared store itself (nullptr when shared_chain_stats is
-  /// off). Exposed for tests and benches; production code observes it
-  /// through chain_store_counters(). Unlike that accessor, this returns a
-  /// reference to the member: it MUST NOT be called concurrently with
-  /// clear_caches(), which reassigns it.
-  [[nodiscard]] const std::shared_ptr<markov::ChainStatsStore>& chain_store()
-      const noexcept {
-    return chain_store_;
-  }
 
   /// Total cached scenario entries across all threads (observability for
   /// memory monitoring and the clear_caches tests). Same concurrency
@@ -253,8 +239,7 @@ class Session {
   /// (otherwise a later family could be allocated at the same address and
   /// alias the key).
   struct ScenarioEntry {
-    /// `store`: the session's shared chain-statistics store, or nullptr for
-    /// a private per-estimator store (shared_chain_stats ablated).
+    /// `store`: the session's shared chain-statistics store.
     ScenarioEntry(std::shared_ptr<const scen::PlatformFamily> family,
                   const platform::ScenarioParams& params, double eps,
                   std::shared_ptr<markov::ChainStatsStore> store);
@@ -280,6 +265,10 @@ class Session {
       std::shared_ptr<const scen::PlatformFamily> family,
       const platform::ScenarioParams& params);
   [[nodiscard]] ThreadCache& this_thread_cache();
+  /// The current store, read under the cache mutex: clear_caches()
+  /// reassigns it under the same lock, so monitoring threads cannot race
+  /// the swap (the store itself is thread-safe).
+  [[nodiscard]] std::shared_ptr<markov::ChainStatsStore> current_store();
 
   /// The availability family arrives pre-resolved: Session::run resolves it
   /// once per sweep (workers stay off the registry mutex), run_trial once
@@ -301,10 +290,10 @@ class Session {
 
   Options options_;
 
-  /// One store per session (created when options_.shared_chain_stats),
-  /// handed to every estimator the session builds and shared by all pool
-  /// workers of run(). Replaced wholesale by clear_caches() — estimators
-  /// keep their store alive via shared_ptr, so a reset cannot strand one.
+  /// One store per session, handed to every estimator the session builds
+  /// and shared by all pool workers of run(). Replaced wholesale by
+  /// clear_caches() — estimators keep their store alive via shared_ptr, so
+  /// a reset cannot strand one.
   std::shared_ptr<markov::ChainStatsStore> chain_store_;
 
   std::mutex cache_mutex_;  ///< guards the per-thread cache directory only

@@ -29,7 +29,7 @@
 #include <string>
 #include <vector>
 
-#include "expt/sweep.hpp"
+#include "expt/metrics.hpp"
 #include "platform/scenario.hpp"
 #include "sim/stats.hpp"
 
@@ -71,9 +71,8 @@ class ResultSink {
   virtual void finish() {}
 };
 
-/// In-memory aggregation into the legacy expt::SweepResults tensor, for the
-/// paper-style reports (summarize_all, figure2_series) and the run_sweep
-/// compatibility adapter.
+/// In-memory aggregation into the expt::SweepResults tensor, for the
+/// paper-style reports (summarize_all, figure2_series).
 class AggregateSink final : public ResultSink {
  public:
   void begin(const ExperimentSpec& spec,

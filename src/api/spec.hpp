@@ -15,6 +15,7 @@
 #include "api/options.hpp"
 #include "platform/scenario.hpp"
 #include "scen/space.hpp"
+#include "util/rng.hpp"
 
 namespace tcgrid::api {
 
@@ -42,6 +43,21 @@ namespace tcgrid::api {
 [[nodiscard]] constexpr std::size_t unit_trial(std::size_t unit,
                                                std::size_t trials) noexcept {
   return unit % trials;
+}
+
+// ------------------------------------------------------------ trial seeds ----
+// The paired-trial derivation (DESIGN.md §2.2): every heuristic run on a
+// (scenario seed, trial) faces the same streams.
+
+/// Seed of the trial's availability stream (stream 1000 + trial).
+[[nodiscard]] constexpr std::uint64_t trial_seed(
+    const platform::ScenarioParams& params, int trial) noexcept {
+  return util::derive_seed(params.seed, 1000 + static_cast<std::uint64_t>(trial));
+}
+/// Seed of the trial's scheduler randomness, e.g. RANDOM (stream 2000 + trial).
+[[nodiscard]] constexpr std::uint64_t scheduler_seed(
+    const platform::ScenarioParams& params, int trial) noexcept {
+  return util::derive_seed(params.seed, 2000 + static_cast<std::uint64_t>(trial));
 }
 
 /// The paper's factorial scenario grid (§VII-A): the cross product of
@@ -95,8 +111,7 @@ struct ExperimentSpec {
 
   /// Validate the spec before any simulation runs: every heuristic name must
   /// be registered and the counts positive. Throws std::invalid_argument
-  /// naming the offending field — failing here, up front, replaces the old
-  /// behaviour of dying mid-sweep inside run_trial.
+  /// naming the offending field, up front rather than mid-sweep.
   void validate() const;
 
   /// The paper's exact experimental scale for one m (10 scenarios/cell,

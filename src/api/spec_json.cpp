@@ -60,7 +60,6 @@ json::Value options_to_json(const Options& o) {
       {"fast_forward", o.fast_forward},
       {"realization_budget", static_cast<unsigned long long>(o.realization_budget)},
       {"eps", o.eps},
-      {"shared_chain_stats", o.shared_chain_stats},
       {"init", init_name(o.init)},
       {"threads", static_cast<unsigned long long>(o.threads)},
       {"seed", o.seed},
@@ -230,7 +229,6 @@ Options parse_options(const Field& f) {
     else if (key == "realization_budget")
       o.realization_budget = static_cast<std::size_t>(get_u64(m));
     else if (key == "eps") o.eps = get_double(m);
-    else if (key == "shared_chain_stats") o.shared_chain_stats = get_bool(m);
     else if (key == "init") o.init = parse_init(m);
     else if (key == "threads") o.threads = static_cast<std::size_t>(get_u64(m));
     else if (key == "seed") o.seed = get_u64(m);

@@ -1,9 +1,12 @@
 // The paper's comparison metrics (§VII-A): %diff, %wins, %wins30, stdv and
-// the failure count, all relative to the reference heuristic IE.
+// the failure count, all relative to the reference heuristic IE, and the
+// in-memory outcome tensor they are computed from.
 #pragma once
 
 #include <string>
 #include <vector>
+
+#include "platform/scenario.hpp"
 
 namespace tcgrid::expt {
 
@@ -15,6 +18,24 @@ struct TrialOutcome {
 
 /// Per-scenario outcomes of one heuristic: outcomes[trial].
 using ScenarioOutcomes = std::vector<TrialOutcome>;
+
+/// All (heuristic x scenario x trial) outcomes of a sweep, with scenario
+/// parameters aligned by scenario index (filled by api::AggregateSink).
+struct SweepResults {
+  std::vector<std::string> heuristics;
+  std::vector<platform::ScenarioParams> scenarios;
+  /// outcomes[h][scenario][trial]
+  std::vector<std::vector<ScenarioOutcomes>> outcomes;
+
+  /// Index of `name` in `heuristics`. Contract: throws std::invalid_argument
+  /// (naming the heuristic) when `name` was not part of the sweep — callers
+  /// use the index to address `outcomes`, so a silent sentinel would turn a
+  /// typo into out-of-bounds access. Use try_heuristic_index to probe.
+  [[nodiscard]] int heuristic_index(const std::string& name) const;
+
+  /// Non-throwing lookup: the index of `name`, or -1 if not in the sweep.
+  [[nodiscard]] int try_heuristic_index(const std::string& name) const noexcept;
+};
 
 /// Aggregate of one heuristic against the reference, over all scenarios.
 struct HeuristicSummary {

@@ -7,7 +7,6 @@
 #include <vector>
 
 #include "expt/metrics.hpp"
-#include "expt/sweep.hpp"
 #include "util/table.hpp"
 
 namespace tcgrid::expt {

@@ -22,8 +22,8 @@
 //     by the matrices' bit patterns), never in call or intern order, so the
 //     stored doubles are a pure function of the multiset — independent of
 //     which caller, thread, or store population got there first. This is the
-//     load-bearing half of the shared-vs-private bit-identity guarantee
-//     (Options::shared_chain_stats; DESIGN.md §10).
+//     load-bearing half of the guarantee that a store's outputs do not
+//     depend on its history (DESIGN.md §10).
 //
 // Concurrency model (the first cross-thread cache in the codebase):
 //   * intern / entry lookup take one store mutex, briefly (no series math
@@ -127,8 +127,8 @@ class ChainSurvival {
 };
 
 /// The session-scoped concurrent store. Thread-safe throughout; one instance
-/// is shared by every estimator view of an api::Session run (or owned
-/// privately per estimator when sharing is ablated — same values either way).
+/// is shared by every estimator view of an api::Session run (or owned by a
+/// standalone estimator — same values either way).
 class ChainStatsStore {
  public:
   /// eps: truncation precision of the Theorem 5.1 series; fixed per store

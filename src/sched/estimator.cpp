@@ -157,9 +157,9 @@ Estimator::Estimator(const platform::Platform& platform, const model::Applicatio
     throw std::invalid_argument("Estimator: more than 64 processors unsupported");
   }
   if (store_ == nullptr) {
-    // Sharing ablated: a private store. Same code path, same values — the
-    // store's results are pure functions of chain content (DESIGN.md §10),
-    // so shared and private resolution are bit-identical by construction.
+    // No store given: own one. Same code path, same values — the store's
+    // results are pure functions of chain content, not of its history
+    // (DESIGN.md §10).
     store_ = std::make_shared<markov::ChainStatsStore>(eps_);
   } else if (store_->eps() != eps_) {
     throw std::invalid_argument(

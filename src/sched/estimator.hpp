@@ -18,9 +18,11 @@
 // survival tables, set-level coupled statistics keyed by the multiset of
 // chain ids — resolves through the store, computed once per distinct chain
 // (or multiset) no matter how many processors, estimators or threads share
-// it. Pass a session-shared store to share across scenario cells and pool
-// workers (api::Options::shared_chain_stats); omit it and the estimator owns
-// a private store — the ablation baseline, bit-identical by construction.
+// it. api::Session passes its one store to every estimator it builds, so
+// cells and pool workers share it. Omitting the store is ownership, not a
+// mode: the estimator creates and owns its own store and resolves through
+// the same code, so a standalone estimator answers bit for bit as one over a
+// shared store of any history.
 //
 // Set-level statistics are additionally front-cached per view by membership
 // bitmask (the platform is fixed per run), so the incremental heuristics'
@@ -93,8 +95,8 @@ struct MonotonePrefix {
 class Estimator {
  public:
   /// eps: truncation precision of the Theorem 5.1 series. `store`: the
-  /// chain-statistics store to resolve through; nullptr (the default) gives
-  /// the estimator a private store. A shared store's eps must equal `eps`
+  /// chain-statistics store to resolve through; nullptr (the default) makes
+  /// the estimator create and own one. A given store's eps must equal `eps`
   /// (throws std::invalid_argument otherwise — every stored quantity
   /// depends on the truncation precision).
   Estimator(const platform::Platform& platform, const model::Application& app,
@@ -180,7 +182,7 @@ class Estimator {
   [[nodiscard]] const platform::Platform& platform() const noexcept { return platform_; }
   [[nodiscard]] const model::Application& app() const noexcept { return app_; }
 
-  /// The store this view resolves through (shared or private).
+  /// The store this view resolves through (given or owned).
   [[nodiscard]] const std::shared_ptr<markov::ChainStatsStore>& chain_store()
       const noexcept {
     return store_;

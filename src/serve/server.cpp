@@ -588,10 +588,6 @@ std::string Server::spec_gate_error(const api::ExperimentSpec& spec) const {
     return "spec.options.eps: must equal the daemon's session eps (" +
            std::to_string(options_.eps) + ")";
   }
-  if (!spec.options.shared_chain_stats) {
-    return "spec.options.shared_chain_stats: the daemon always shares the tenant "
-           "session's chain store";
-  }
   if (spec.options.record_trace) {
     return "spec.options.record_trace: activity traces are not streamable over the "
            "serve protocol";

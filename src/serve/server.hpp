@@ -270,8 +270,8 @@ class Server {
   void handle_lease(const util::json::Value& req, util::LineChannel& ch,
                     LeaseCache& cache);
 
-  /// Empty when `spec` passes the session-level gates (eps,
-  /// shared_chain_stats, record_trace); otherwise the error message.
+  /// Empty when `spec` passes the session-level gates (eps, record_trace);
+  /// otherwise the error message.
   /// Shared by the submit and lease paths.
   [[nodiscard]] std::string spec_gate_error(const api::ExperimentSpec& spec) const;
 

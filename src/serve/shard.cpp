@@ -41,6 +41,7 @@ struct ShardFleet::Shard {
   bool slots_spawned = false;          ///< under fleet mu_
   std::vector<std::thread> threads;    ///< monitor + slots; under fleet mu_
   std::set<int> fds;                   ///< live connections; under fleet mu_
+  std::size_t inflight = 0;            ///< unresolved leases; under fleet mu_
   obs::Histogram service_us;           ///< lease dispatch -> unit rows merged
 };
 
@@ -104,6 +105,7 @@ ShardFleet::Counters ShardFleet::counters() const {
   c.shards = shards_.size();
   for (const auto& shard : shards_) {
     if (shard->live.load()) c.live_shards += 1;
+    c.inflight_leases[shard->address] = shard->inflight;
   }
   c.leased_units = leased_;
   c.stolen_units = stolen_;
@@ -280,6 +282,7 @@ bool ShardFleet::lease_round(Shard& shard, util::LineChannel& ch,
   {
     std::lock_guard<std::mutex> lock(mu_);
     leased_ += batch.size();
+    shard.inflight += batch.size();
     for (const Server::Lease& lease : batch) {
       if (lease.stolen) stolen_ += 1;
     }
@@ -290,19 +293,31 @@ bool ShardFleet::lease_round(Shard& shard, util::LineChannel& ch,
   }
 
   std::vector<bool> resolved(batch.size(), false);
-  // On transport death every unresolved lease expires and re-queues.
+  // Each lease leaves the shard's in-flight count once: at its commit or
+  // failure, or at its expiry.
+  auto resolve = [&](std::size_t i) {
+    resolved[i] = true;
+    std::lock_guard<std::mutex> lock(mu_);
+    shard.inflight -= 1;
+  };
+  // On transport death every unresolved lease expires and re-queues. The
+  // counters move first, so they already hold the expiry when another shard
+  // can claim a re-queued unit.
   auto expire_unresolved = [&] {
-    std::size_t expired = 0;
+    const auto expired =
+        static_cast<std::size_t>(std::count(resolved.begin(), resolved.end(), false));
+    if (expired == 0) return;
+    {
+      std::lock_guard<std::mutex> lock(mu_);
+      redispatched_ += expired;
+      shard.inflight -= expired;
+    }
+    redispatched_total_.inc(expired);
     for (std::size_t i = 0; i < batch.size(); ++i) {
       if (resolved[i]) continue;
       server_.return_lease(batch[i]);
-      expired += 1;
+      resolved[i] = true;
     }
-    if (expired > 0) {
-      std::lock_guard<std::mutex> lock(mu_);
-      redispatched_ += expired;
-    }
-    redispatched_total_.inc(expired);
   };
 
   // One lease request covers the batch: a claim plus its siblings, all of
@@ -373,7 +388,7 @@ bool ShardFleet::lease_round(Shard& shard, util::LineChannel& ch,
         if (idx == batch.size()) continue;  // unit we no longer hold; drop
         const Server::Commit rc =
             server_.commit_unit(batch[idx], std::move(rows), claimed_us);
-        resolved[idx] = true;
+        resolve(idx);
         if (rc == Server::Commit::Duplicate) {
           std::lock_guard<std::mutex> lock(mu_);
           duplicates_ += 1;
@@ -401,7 +416,7 @@ bool ShardFleet::lease_round(Shard& shard, util::LineChannel& ch,
         for (std::size_t i = 0; i < batch.size(); ++i) {
           if (!resolved[i] && batch[i].unit == unit) {
             server_.fail_lease(batch[i], error);
-            resolved[i] = true;
+            resolve(i);
             break;
           }
         }
@@ -410,7 +425,7 @@ bool ShardFleet::lease_round(Shard& shard, util::LineChannel& ch,
         for (std::size_t i = 0; i < batch.size(); ++i) {
           if (!resolved[i]) {
             server_.return_lease(batch[i]);
-            resolved[i] = true;
+            resolve(i);
           }
         }
         done = true;
@@ -436,7 +451,7 @@ bool ShardFleet::lease_round(Shard& shard, util::LineChannel& ch,
           for (std::size_t i = 0; i < batch.size(); ++i) {
             if (!resolved[i]) {
               server_.return_lease(batch[i]);
-              resolved[i] = true;
+              resolve(i);
             }
           }
           done = true;

@@ -33,6 +33,7 @@
 #include <condition_variable>
 #include <cstddef>
 #include <cstdint>
+#include <map>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -74,6 +75,9 @@ class ShardFleet {
     std::size_t stolen_units = 0;  ///< duplicate-dispatched in-flight units
     std::size_t redispatched_units = 0;  ///< lease expiries re-queued
     std::size_t duplicate_commits = 0;   ///< losing-lease completions dropped
+    /// Per shard address: leases dispatched to it and not yet committed,
+    /// failed or expired.
+    std::map<std::string, std::size_t> inflight_leases;
   };
   [[nodiscard]] Counters counters() const;
 

@@ -13,12 +13,9 @@
 #include <vector>
 
 #include "api/api.hpp"
-#include "expt/runner.hpp"
-#include "expt/sweep.hpp"
-#include "platform/availability.hpp"
+#include "manual_run.hpp"
 #include "sched/estimator.hpp"
-#include "sched/registry.hpp"
-#include "sim/engine.hpp"
+#include "util/rng.hpp"
 
 namespace tcgrid::api {
 namespace {
@@ -82,18 +79,8 @@ TEST(Session, TrialMatchesManualEngineWiring) {
 
   for (const char* name : {"RANDOM", "IE", "Y-IE", "P-IE"}) {
     for (int trial = 0; trial < 2; ++trial) {
-      platform::MarkovAvailability availability(
-          scenario.platform, expt::trial_seed(scenario, trial),
-          platform::InitialStates::Stationary);
-      auto scheduler = sched::make_scheduler(
-          name, estimator,
-          util::derive_seed(params.seed, 2000 + static_cast<std::uint64_t>(trial)));
-      sim::EngineOptions engine_options;
-      engine_options.slot_cap = options.slot_cap;
-      sim::Engine engine(scenario.platform, scenario.app, availability, *scheduler,
-                         engine_options);
-      const sim::SimulationResult manual = engine.run();
-
+      const sim::SimulationResult manual =
+          manual_run(scenario, estimator, name, trial, options.slot_cap);
       const sim::SimulationResult facade = session.run_trial(params, name, trial);
       SCOPED_TRACE(std::string(name) + " trial " + std::to_string(trial));
       expect_identical(manual, facade);
@@ -101,8 +88,8 @@ TEST(Session, TrialMatchesManualEngineWiring) {
   }
 }
 
-// Session::run must match the legacy sweep path (expt::run_trial per
-// scenario/heuristic/trial, shared per-scenario estimator) exactly.
+// Session::run must match the manual wiring per (scenario, heuristic,
+// trial), with one estimator per scenario, exactly.
 TEST(Session, RunMatchesLegacyTrialLoop) {
   const auto spec = mini_spec();
   AggregateSink aggregate;
@@ -110,19 +97,16 @@ TEST(Session, RunMatchesLegacyTrialLoop) {
   const auto& results = aggregate.results();
 
   const auto scenarios = spec.scenarios();
-  expt::RunOptions legacy_options;
-  legacy_options.slot_cap = spec.options.slot_cap;
-  legacy_options.eps = spec.options.eps;
   for (std::size_t sc = 0; sc < scenarios.size(); ++sc) {
     const auto scenario = platform::make_scenario(scenarios[sc]);
     sched::Estimator estimator(scenario.platform, scenario.app, spec.options.eps);
     for (std::size_t h = 0; h < spec.heuristics.size(); ++h) {
       for (int trial = 0; trial < spec.trials; ++trial) {
-        const auto legacy = expt::run_trial(scenario, estimator, spec.heuristics[h],
-                                            trial, legacy_options);
+        const auto manual = manual_run(scenario, estimator, spec.heuristics[h], trial,
+                                       spec.options.slot_cap);
         const auto& got = results.outcomes[h][sc][static_cast<std::size_t>(trial)];
-        EXPECT_EQ(got.success, legacy.success);
-        EXPECT_EQ(got.makespan, legacy.makespan);
+        EXPECT_EQ(got.success, manual.success);
+        EXPECT_EQ(got.makespan, manual.makespan);
       }
     }
   }
@@ -143,6 +127,37 @@ TEST(Session, ThreadCountDoesNotChangeResults) {
         EXPECT_EQ(r1.outcomes[h][sc][t].makespan, r4.outcomes[h][sc][t].makespan);
       }
     }
+  }
+}
+
+TEST(Session, ProgressCallbackReachesTotal) {
+  std::size_t last = 0, total = 0, calls = 0;
+  AggregateSink aggregate;
+  Session().run(mini_spec(), {&aggregate}, [&](std::size_t done, std::size_t n) {
+    last = std::max(last, done);
+    total = n;
+    ++calls;
+  });
+  // One tick per (scenario, trial) unit: 2 scenarios x 2 trials.
+  EXPECT_EQ(last, 4u);
+  EXPECT_EQ(total, 4u);
+  EXPECT_EQ(calls, 4u);
+}
+
+// The §2.2 pairing: streams 1000 + t (availability) and 2000 + t (scheduler)
+// of the scenario seed. perfbench/layers.cpp restates this derivation, so
+// pinning it here also guards that copy.
+TEST(Session, TrialSeedsAreThePairedStreams) {
+  for (const std::uint64_t seed : {0ull, 12ull, 0x9E3779B97F4A7C15ull}) {
+    platform::ScenarioParams params;
+    params.seed = seed;
+    for (int t = 0; t < 4; ++t) {
+      const auto u = static_cast<std::uint64_t>(t);
+      EXPECT_EQ(trial_seed(params, t), util::derive_seed(seed, 1000 + u));
+      EXPECT_EQ(scheduler_seed(params, t), util::derive_seed(seed, 2000 + u));
+    }
+    EXPECT_NE(trial_seed(params, 3), trial_seed(params, 4));
+    EXPECT_NE(trial_seed(params, 3), scheduler_seed(params, 3));
   }
 }
 
@@ -489,23 +504,6 @@ TEST(Spec, ExplicitScenariosReplaceGrid) {
   spec.explicit_scenarios = {mini_params(1), mini_params(2), mini_params(3)};
   EXPECT_EQ(spec.scenarios().size(), 3u);
   EXPECT_EQ(spec.scenarios()[1].seed, 2u);
-}
-
-TEST(Spec, GridMatchesLegacyScenarioGrid) {
-  expt::SweepConfig config;
-  config.ms = {5, 10};
-  config.ncoms = {5, 20};
-  config.wmins = {1, 3};
-  config.scenarios_per_cell = 3;
-  const auto legacy = expt::scenario_grid(config);
-  const auto spec_grid = expt::to_spec(config).scenarios();
-  ASSERT_EQ(legacy.size(), spec_grid.size());
-  for (std::size_t i = 0; i < legacy.size(); ++i) {
-    EXPECT_EQ(legacy[i].seed, spec_grid[i].seed);
-    EXPECT_EQ(legacy[i].m, spec_grid[i].m);
-    EXPECT_EQ(legacy[i].ncom, spec_grid[i].ncom);
-    EXPECT_EQ(legacy[i].wmin, spec_grid[i].wmin);
-  }
 }
 
 TEST(Spec, DefaultHeuristicsAreThePapers17) {

@@ -11,14 +11,16 @@
 //   * sched::Estimator resolves identically through a shared and a private
 //     store (p_no_down, proc/set stats, full evaluate), for the paper's
 //     heterogeneous platform and for clustered platforms;
-//   * full sweep bit-identity: Options::shared_chain_stats on vs off gives
-//     equal rows for all 25 heuristics across every availability family,
-//     and for the heterogeneous "clusters" platform family;
+//   * a store's outputs do not depend on its history: a session whose
+//     store was first populated by another cell and by this cell under
+//     another availability family gives the same rows as a fresh session,
+//     for all 25 heuristics across every availability family, and for the
+//     heterogeneous "clusters" platform family;
 //   * eviction of the estimator's set front cache and build memo is
 //     epoch-safe: references held across a cap-triggered eviction keep
 //     reading their values (the historical clear()-dangle hazard);
 //   * api::Session observability: chain_store_counters() populates during
-//     runs, resets with clear_caches(), and stays zero when ablated.
+//     runs and resets with clear_caches().
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -528,40 +530,56 @@ std::vector<std::string> all_heuristics() {
   return names;
 }
 
-TEST(SweepBitIdentity, SharedOnVsOffAllHeuristicsAllFamilies) {
-  // Every heuristic x availability family, one paired trial each: the
-  // shared store and the per-estimator private stores must produce the
-  // identical simulation.
+TEST(SweepBitIdentity, WarmVsFreshStoreAllHeuristicsAllFamilies) {
+  // Every heuristic x availability family, one paired trial each: a session
+  // whose store already holds another cell's entries and this cell's under
+  // another family must produce the identical simulation to a fresh session.
   platform::ScenarioParams params;
   params.seed = 33;
   params.wmin = 2;
   params.iterations = 3;
+  platform::ScenarioParams other = params;  // a different cell: other chains
+  other.seed = 34;
+  other.wmin = 3;
 
-  api::Options on;
-  on.slot_cap = 100'000;
-  api::Options off = on;
-  off.shared_chain_stats = false;
-
+  api::Options options;
+  options.slot_cap = 100'000;
   const auto heuristics = all_heuristics();
-  for (const auto& family : sweep_families()) {
+  const auto& families = sweep_families();
+  api::Session warm(options);
+  for (const auto& heuristic : heuristics) {
+    (void)warm.run_trial(other, heuristic, 0);
+    (void)warm.run_trial(scen::ScenarioSpace{.availability = families.back()}, params,
+                         heuristic, 0);
+  }
+  const auto populated = warm.chain_store_counters();
+
+  for (const auto& family : families) {
     scen::ScenarioSpace space;
     space.availability = family;
-    api::Session shared(on);
-    api::Session ablated(off);
+    // Rebuilt estimators resolve every chain and set through the warm store.
+    warm.drop_estimator_caches();
     for (const auto& heuristic : heuristics) {
       SCOPED_TRACE(family + " / " + heuristic);
-      const auto a = shared.run_trial(space, params, heuristic, 0);
-      const auto b = ablated.run_trial(space, params, heuristic, 0);
+      api::Session fresh(options);
+      const auto a = warm.run_trial(space, params, heuristic, 0);
+      const auto b = fresh.run_trial(space, params, heuristic, 0);
       expect_identical_results(a, b);
     }
-    EXPECT_GT(shared.chain_store_counters().chains, 0u);
-    EXPECT_EQ(ablated.chain_store_counters().chains, 0u);  // ablated: no store
   }
+  // The history was real: the store held both cells' chains before the
+  // loop, and the rebuilt estimators reused set entries from it.
+  const auto after = warm.chain_store_counters();
+  EXPECT_EQ(after.chains, populated.chains);
+  EXPECT_GT(after.chains, 20u);  // more than this cell's 20 chains
+  EXPECT_GT(after.set_hits, populated.set_hits);
 }
 
-TEST(SweepBitIdentity, ClustersPlatformSweepOnVsOff) {
+TEST(SweepBitIdentity, ClustersPlatformSweepWarmVsFreshStore) {
   // Heterogeneous platform family where chains genuinely repeat across
-  // processors: a full (grid) sweep, shared on vs off, equal rows.
+  // processors: a full (grid) sweep on a session whose store was first
+  // populated by a different cell and by this cell under another
+  // availability family, against a fresh session. Equal rows.
   api::ExperimentSpec spec;
   spec.grid.ms = {5};
   spec.grid.ncoms = {5};
@@ -573,34 +591,45 @@ TEST(SweepBitIdentity, ClustersPlatformSweepOnVsOff) {
   spec.options.slot_cap = 100'000;
   spec.options.threads = 2;
   spec.scenario_space.platform = "clusters";
+  api::ExperimentSpec other_cell = spec;
+  other_cell.grid.wmins = {3};
+  other_cell.options.seed = 43;
+  api::ExperimentSpec other_family = spec;
+  other_family.scenario_space.availability = "weibull";
 
-  CollectSink on_sink;
+  CollectSink fresh_sink;
   {
     api::Session session(spec.options);
-    session.run(spec, {&on_sink});
+    session.run(spec, {&fresh_sink});
     const auto counters = session.chain_store_counters();
     EXPECT_GT(counters.chains, 0u);
     EXPECT_GT(counters.intern_hits, counters.chains);  // clusters: chains repeat
     EXPECT_GT(counters.set_hits, 0u);
   }
-  api::ExperimentSpec off = spec;
-  off.options.shared_chain_stats = false;
-  CollectSink off_sink;
+  CollectSink warm_sink;
   {
-    api::Session session(off.options);
-    session.run(off, {&off_sink});
+    api::Session session(spec.options);
+    CollectSink discard;
+    session.run(other_cell, {&discard});
+    session.run(other_family, {&discard});
+    session.drop_estimator_caches();
+    const auto populated = session.chain_store_counters();
+    session.run(spec, {&warm_sink});
+    const auto after = session.chain_store_counters();
+    EXPECT_EQ(after.chains, populated.chains);  // every chain seen before
+    EXPECT_GT(after.set_hits, populated.set_hits);
   }
 
-  ASSERT_EQ(on_sink.results().size(), off_sink.results().size());
-  for (std::size_t h = 0; h < on_sink.results().size(); ++h) {
-    ASSERT_EQ(on_sink.results()[h].size(), off_sink.results()[h].size());
-    for (std::size_t sc = 0; sc < on_sink.results()[h].size(); ++sc) {
-      ASSERT_EQ(on_sink.results()[h][sc].size(), 2u);
+  ASSERT_EQ(fresh_sink.results().size(), warm_sink.results().size());
+  for (std::size_t h = 0; h < fresh_sink.results().size(); ++h) {
+    ASSERT_EQ(fresh_sink.results()[h].size(), warm_sink.results()[h].size());
+    for (std::size_t sc = 0; sc < fresh_sink.results()[h].size(); ++sc) {
+      ASSERT_EQ(fresh_sink.results()[h][sc].size(), 2u);
       for (std::size_t t = 0; t < 2; ++t) {
         SCOPED_TRACE("h" + std::to_string(h) + " sc" + std::to_string(sc) + " t" +
                      std::to_string(t));
-        expect_identical_results(on_sink.results()[h][sc][t],
-                                 off_sink.results()[h][sc][t]);
+        expect_identical_results(fresh_sink.results()[h][sc][t],
+                                 warm_sink.results()[h][sc][t]);
       }
     }
   }

@@ -1,14 +1,14 @@
 // Tests of the experiment harness (§VII-A): metrics arithmetic, the scenario
-// grid, the trial runner's pairing guarantee, and a miniature end-to-end
-// sweep with the paper's qualitative expectations.
+// grid, the paired-trial guarantee, and a miniature end-to-end sweep through
+// api::Session with the paper's qualitative expectations.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <set>
 
+#include "api/api.hpp"
 #include "expt/metrics.hpp"
 #include "expt/report.hpp"
-#include "expt/runner.hpp"
-#include "expt/sweep.hpp"
 
 namespace tcgrid::expt {
 namespace {
@@ -97,13 +97,13 @@ TEST(Metrics, WinAgainstFailedReference) {
 // ------------------------------------------------------------- scenario ----
 
 TEST(Grid, SizeAndDeterminism) {
-  SweepConfig c;
-  c.ms = {5, 10};
-  c.ncoms = {5, 20};
-  c.wmins = {1, 3};
-  c.scenarios_per_cell = 3;
-  auto grid1 = scenario_grid(c);
-  auto grid2 = scenario_grid(c);
+  api::ExperimentSpec spec;
+  spec.grid.ms = {5, 10};
+  spec.grid.ncoms = {5, 20};
+  spec.grid.wmins = {1, 3};
+  spec.grid.scenarios_per_cell = 3;
+  auto grid1 = spec.scenarios();
+  auto grid2 = spec.scenarios();
   EXPECT_EQ(grid1.size(), 2u * 2u * 2u * 3u);
   for (std::size_t i = 0; i < grid1.size(); ++i) {
     EXPECT_EQ(grid1[i].seed, grid2[i].seed);
@@ -115,14 +115,14 @@ TEST(Grid, SizeAndDeterminism) {
 }
 
 TEST(Grid, CarriesParameters) {
-  SweepConfig c;
-  c.ms = {7};
-  c.ncoms = {9};
-  c.wmins = {4};
-  c.scenarios_per_cell = 1;
-  c.iterations = 5;
-  c.p = 12;
-  auto grid = scenario_grid(c);
+  api::ExperimentSpec spec;
+  spec.grid.ms = {7};
+  spec.grid.ncoms = {9};
+  spec.grid.wmins = {4};
+  spec.grid.scenarios_per_cell = 1;
+  spec.grid.iterations = 5;
+  spec.grid.p = 12;
+  auto grid = spec.scenarios();
   ASSERT_EQ(grid.size(), 1u);
   EXPECT_EQ(grid[0].m, 7);
   EXPECT_EQ(grid[0].ncom, 9);
@@ -131,18 +131,21 @@ TEST(Grid, CarriesParameters) {
   EXPECT_EQ(grid[0].p, 12);
 }
 
-// --------------------------------------------------------------- runner ----
+// --------------------------------------------------------------- trials ----
+
+api::Session capped_session() {
+  api::Options options;
+  options.slot_cap = 100000;
+  return api::Session(options);
+}
 
 TEST(Runner, SameTrialSameHeuristicIsDeterministic) {
   platform::ScenarioParams params;
   params.seed = 12;
   params.iterations = 3;
-  auto scenario = platform::make_scenario(params);
-  sched::Estimator est(scenario.platform, scenario.app, 1e-6);
-  RunOptions opts;
-  opts.slot_cap = 100000;
-  auto a = run_trial(scenario, est, "Y-IE", 0, opts);
-  auto b = run_trial(scenario, est, "Y-IE", 0, opts);
+  api::Session session = capped_session();
+  auto a = session.run_trial(params, "Y-IE", 0);
+  auto b = session.run_trial(params, "Y-IE", 0);
   EXPECT_EQ(a.makespan, b.makespan);
   EXPECT_EQ(a.total_restarts, b.total_restarts);
 }
@@ -151,51 +154,46 @@ TEST(Runner, DifferentTrialsDiffer) {
   platform::ScenarioParams params;
   params.seed = 12;
   params.iterations = 3;
-  auto scenario = platform::make_scenario(params);
-  sched::Estimator est(scenario.platform, scenario.app, 1e-6);
-  RunOptions opts;
-  opts.slot_cap = 100000;
+  api::Session session = capped_session();
   std::set<long> makespans;
   for (int trial = 0; trial < 5; ++trial) {
-    makespans.insert(run_trial(scenario, est, "IE", trial, opts).makespan);
+    makespans.insert(session.run_trial(params, "IE", trial).makespan);
   }
   EXPECT_GT(makespans.size(), 1u);
 }
 
-TEST(Runner, TrialSeedIndependentOfHeuristic) {
-  platform::ScenarioParams params;
-  params.seed = 99;
-  auto scenario = platform::make_scenario(params);
-  EXPECT_EQ(trial_seed(scenario, 3), trial_seed(scenario, 3));
-  EXPECT_NE(trial_seed(scenario, 3), trial_seed(scenario, 4));
-}
-
 // ---------------------------------------------------------------- sweep ----
 
-SweepConfig mini_config() {
-  SweepConfig c;
-  c.ms = {5};
-  c.ncoms = {5};
-  c.wmins = {1};
-  c.scenarios_per_cell = 2;
-  c.trials = 2;
-  c.iterations = 3;
-  c.slot_cap = 100000;
-  c.heuristics = {"RANDOM", "IE", "Y-IE"};
-  c.threads = 1;
-  return c;
+api::ExperimentSpec mini_spec() {
+  api::ExperimentSpec spec;
+  spec.grid.ms = {5};
+  spec.grid.ncoms = {5};
+  spec.grid.wmins = {1};
+  spec.grid.scenarios_per_cell = 2;
+  spec.grid.iterations = 3;
+  spec.trials = 2;
+  spec.options.slot_cap = 100000;
+  spec.heuristics = {"RANDOM", "IE", "Y-IE"};
+  spec.options.threads = 1;
+  return spec;
+}
+
+SweepResults aggregate_sweep(const api::ExperimentSpec& spec) {
+  api::AggregateSink aggregate;
+  api::Session().run(spec, {&aggregate});
+  return std::move(aggregate).take();
 }
 
 TEST(Sweep, ShapesAndDeterminism) {
-  auto config = mini_config();
-  auto r1 = run_sweep(config);
+  const auto spec = mini_spec();
+  auto r1 = aggregate_sweep(spec);
   EXPECT_EQ(r1.heuristics.size(), 3u);
   EXPECT_EQ(r1.scenarios.size(), 2u);
   ASSERT_EQ(r1.outcomes.size(), 3u);
   ASSERT_EQ(r1.outcomes[0].size(), 2u);
   ASSERT_EQ(r1.outcomes[0][0].size(), 2u);
 
-  auto r2 = run_sweep(config);
+  auto r2 = aggregate_sweep(spec);
   for (std::size_t h = 0; h < 3; ++h) {
     for (std::size_t sc = 0; sc < 2; ++sc) {
       for (std::size_t t = 0; t < 2; ++t) {
@@ -205,40 +203,9 @@ TEST(Sweep, ShapesAndDeterminism) {
   }
 }
 
-TEST(Sweep, ThreadCountDoesNotChangeResults) {
-  auto config = mini_config();
-  config.threads = 1;
-  auto r1 = run_sweep(config);
-  config.threads = 4;
-  auto r2 = run_sweep(config);
-  for (std::size_t h = 0; h < r1.outcomes.size(); ++h) {
-    for (std::size_t sc = 0; sc < r1.outcomes[h].size(); ++sc) {
-      for (std::size_t t = 0; t < r1.outcomes[h][sc].size(); ++t) {
-        EXPECT_EQ(r1.outcomes[h][sc][t].makespan, r2.outcomes[h][sc][t].makespan);
-      }
-    }
-  }
-}
-
-TEST(Sweep, ProgressCallbackReachesTotal) {
-  auto config = mini_config();
-  std::size_t last = 0, total = 0;
-  std::size_t calls = 0;
-  (void)run_sweep(config, [&](std::size_t done, std::size_t n) {
-    last = std::max(last, done);
-    total = n;
-    ++calls;
-  });
-  // Trial-major sweeps tick once per (scenario, trial) unit: 2 scenarios x
-  // 2 trials (the adapter inherits the api::Session progress contract).
-  EXPECT_EQ(last, 4u);
-  EXPECT_EQ(total, 4u);
-  EXPECT_EQ(calls, 4u);
-}
-
 TEST(Sweep, HeuristicIndexLookup) {
-  auto config = mini_config();
-  auto r = run_sweep(config);
+  SweepResults r;
+  r.heuristics = {"RANDOM", "IE", "Y-IE"};
   EXPECT_EQ(r.heuristic_index("IE"), 1);
   // Contract: unknown names throw (the index addresses `outcomes`, so a
   // sentinel would invite out-of-bounds use); try_heuristic_index probes.
@@ -247,19 +214,10 @@ TEST(Sweep, HeuristicIndexLookup) {
   EXPECT_EQ(r.try_heuristic_index("nope"), -1);
 }
 
-TEST(Sweep, UnknownHeuristicNameFailsBeforeRunning) {
-  auto config = mini_config();
-  config.heuristics = {"IE", "TYPO-IE"};
-  // Validated up front by the api facade underneath run_sweep — the sweep
-  // must throw before simulating anything, not die mid-run.
-  EXPECT_THROW((void)run_sweep(config), std::invalid_argument);
-}
-
 // --------------------------------------------------------------- report ----
 
 TEST(Report, SummariesSortedAndReferenceIsZero) {
-  auto config = mini_config();
-  auto results = run_sweep(config);
+  auto results = aggregate_sweep(mini_spec());
   auto summaries = summarize_all(results, "IE");
   ASSERT_EQ(summaries.size(), 3u);
   for (std::size_t i = 1; i < summaries.size(); ++i) {
@@ -282,8 +240,7 @@ TEST(Report, SummariesSortedAndReferenceIsZero) {
 }
 
 TEST(Report, OutcomesCsvShape) {
-  auto config = mini_config();
-  auto results = run_sweep(config);
+  auto results = aggregate_sweep(mini_spec());
   const std::string csv = outcomes_csv(results);
   // Header + 3 heuristics x 2 scenarios x 2 trials = 13 lines.
   EXPECT_EQ(static_cast<int>(std::count(csv.begin(), csv.end(), '\n')), 13);
@@ -292,9 +249,9 @@ TEST(Report, OutcomesCsvShape) {
 }
 
 TEST(Report, Figure2SeriesCoversWmins) {
-  auto config = mini_config();
-  config.wmins = {1, 2};
-  auto results = run_sweep(config);
+  auto spec = mini_spec();
+  spec.grid.wmins = {1, 2};
+  auto results = aggregate_sweep(spec);
   auto series = figure2_series(results, "IE");
   ASSERT_EQ(series.size(), 3u);
   for (const auto& [name, points] : series) {

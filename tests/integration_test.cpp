@@ -3,8 +3,8 @@
 // mini-sweep pinning the paper's qualitative ordering.
 #include <gtest/gtest.h>
 
+#include "api/api.hpp"
 #include "expt/report.hpp"
-#include "expt/sweep.hpp"
 #include "platform/availability.hpp"
 #include "sim/engine.hpp"
 
@@ -185,19 +185,20 @@ TEST(Integration, MiniSweepPaperOrdering) {
   // Deterministic regression pin of the paper's coarsest claims on a small
   // but fixed sweep: RANDOM is by far the worst; the flagship proactive
   // heuristic Y-IE beats the passive probability-driven IP.
-  expt::SweepConfig config;
-  config.ms = {5};
-  config.ncoms = {5};
-  config.wmins = {1, 3};
-  config.scenarios_per_cell = 4;
-  config.trials = 3;
-  config.iterations = 5;
-  config.slot_cap = 200000;
-  config.heuristics = {"RANDOM", "IP", "IE", "Y-IE"};
-  config.threads = 1;
+  api::ExperimentSpec spec;
+  spec.grid.ms = {5};
+  spec.grid.ncoms = {5};
+  spec.grid.wmins = {1, 3};
+  spec.grid.scenarios_per_cell = 4;
+  spec.grid.iterations = 5;
+  spec.trials = 3;
+  spec.options.slot_cap = 200000;
+  spec.heuristics = {"RANDOM", "IP", "IE", "Y-IE"};
+  spec.options.threads = 1;
 
-  const auto results = expt::run_sweep(config);
-  const auto summaries = expt::summarize_all(results, "IE");
+  api::AggregateSink aggregate;
+  api::Session().run(spec, {&aggregate});
+  const auto summaries = expt::summarize_all(aggregate.results(), "IE");
   double random_diff = 0, ip_diff = 0, yie_diff = 0;
   for (const auto& s : summaries) {
     if (s.name == "RANDOM") random_diff = s.pct_diff;

@@ -21,13 +21,13 @@
 #include <vector>
 
 #include "api/api.hpp"
-#include "expt/runner.hpp"
 #include "platform/realization.hpp"
 #include "platform/scenario.hpp"
 #include "platform/semi_markov.hpp"
 #include "scen/scen.hpp"
 #include "sched/registry.hpp"
 #include "sim/engine.hpp"
+#include "util/rng.hpp"
 
 namespace tcgrid {
 namespace {
@@ -284,7 +284,8 @@ void expect_replay_identical(const platform::Scenario& scenario,
   options.fast_forward = fast_forward;
   const std::uint64_t sched_seed = util::derive_seed(
       scenario.params.seed, 2000 + static_cast<std::uint64_t>(trial));
-  const std::uint64_t avail_seed = expt::trial_seed(scenario, trial);
+  const std::uint64_t avail_seed = util::derive_seed(
+      scenario.params.seed, 1000 + static_cast<std::uint64_t>(trial));
 
   auto run = [&](bool replay, bool trace,
                  sim::ActivityTrace* out) -> sim::SimulationResult {
@@ -323,8 +324,8 @@ TEST(Replay, BitIdenticalForEveryHeuristicAndFamily) {
 
   for (const auto& family : families()) {
     // ONE realization shared by every heuristic — the trial-major usage.
-    Realization realization(
-        make_source(family, scenario.platform, expt::trial_seed(scenario, 0)));
+    Realization realization(make_source(family, scenario.platform,
+                                        util::derive_seed(scenario.params.seed, 1000)));
     for (const auto& heuristic : heuristics) {
       SCOPED_TRACE(family + " / " + heuristic);
       expect_replay_identical(scenario, estimator, realization, family, heuristic, 0);
@@ -347,7 +348,7 @@ TEST(Replay, FrozenRealizationContinuesLiveBitIdentically) {
       SCOPED_TRACE(family + " prefix " + std::to_string(prefix));
       for (const char* heuristic : {"IE", "RANDOM", "Y-IE", "IY"}) {
         SCOPED_TRACE(heuristic);
-        const std::uint64_t avail_seed = expt::trial_seed(scenario, 0);
+        const std::uint64_t avail_seed = util::derive_seed(scenario.params.seed, 1000);
         const std::uint64_t sched_seed = util::derive_seed(scenario.params.seed, 2000);
 
         auto live_sched = sched::make_scheduler(heuristic, estimator, sched_seed);
@@ -376,8 +377,8 @@ TEST(Replay, BitIdenticalOnPerSlotEngineLoop) {
   const auto scenario = test_scenario(77, 5, 3);
   const sched::Estimator estimator(scenario.platform, scenario.app, 1e-6);
   for (const auto& family : families()) {
-    Realization realization(
-        make_source(family, scenario.platform, expt::trial_seed(scenario, 1)));
+    Realization realization(make_source(family, scenario.platform,
+                                        util::derive_seed(scenario.params.seed, 1001)));
     for (const char* heuristic : {"IE", "RANDOM", "Y-IE", "E-IAY"}) {
       SCOPED_TRACE(family + std::string(" / ") + heuristic);
       expect_replay_identical(scenario, estimator, realization, family, heuristic, 1,

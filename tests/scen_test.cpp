@@ -14,7 +14,7 @@
 #include <vector>
 
 #include "api/api.hpp"
-#include "expt/runner.hpp"
+#include "manual_run.hpp"
 #include "platform/cyclostationary.hpp"
 #include "platform/replay.hpp"
 #include "platform/scenario.hpp"
@@ -386,18 +386,16 @@ TEST(Space, DefaultSpaceIsBitIdenticalToScenarioGrid) {
   api::Session().run(spec, {&via_space});
 
   // Reference: the pre-scen sweep semantics — make_scenario + estimator +
-  // expt::run_trial per (scenario, heuristic, trial).
+  // the manual engine wiring per (scenario, heuristic, trial).
   const auto scenarios = spec.scenarios();
-  expt::RunOptions legacy;
-  legacy.slot_cap = spec.options.slot_cap;
   const auto& got = via_space.results();
   for (std::size_t sc = 0; sc < scenarios.size(); ++sc) {
     const auto scenario = platform::make_scenario(scenarios[sc]);
     sched::Estimator estimator(scenario.platform, scenario.app, spec.options.eps);
     for (std::size_t h = 0; h < spec.heuristics.size(); ++h) {
       for (int trial = 0; trial < spec.trials; ++trial) {
-        const auto ref =
-            expt::run_trial(scenario, estimator, spec.heuristics[h], trial, legacy);
+        const auto ref = manual_run(scenario, estimator, spec.heuristics[h], trial,
+                                    spec.options.slot_cap);
         const auto& out = got.outcomes[h][sc][static_cast<std::size_t>(trial)];
         EXPECT_EQ(out.makespan, ref.makespan);
         EXPECT_EQ(out.success, ref.success);

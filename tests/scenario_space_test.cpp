@@ -6,9 +6,10 @@
 
 #include <tuple>
 
-#include "expt/runner.hpp"
+#include "api/api.hpp"
+#include "manual_run.hpp"
 #include "platform/scenario.hpp"
-#include "sched/registry.hpp"
+#include "sched/estimator.hpp"
 
 namespace tcgrid {
 namespace {
@@ -75,21 +76,26 @@ TEST_P(ScenarioSpace, ShortRunsCompleteAndPair) {
   params.iterations = 2;
   const auto s = platform::make_scenario(params);
   sched::Estimator est(s.platform, s.app, 1e-6);
-  expt::RunOptions opts;
   // Tight cap keeps the hardest cells fast; a capped run is a valid outcome
   // for this invariant test (the success branch simply doesn't fire).
-  opts.slot_cap = 60000;
+  const long cap = 60000;
 
-  const auto ie = expt::run_trial(s, est, "IE", 0, opts);
-  const auto yie = expt::run_trial(s, est, "Y-IE", 0, opts);
+  const auto ie = manual_run(s, est, "IE", 0, cap);
+  const auto yie = manual_run(s, est, "Y-IE", 0, cap);
   if (ie.success) {
     EXPECT_EQ(ie.iterations_completed, 2);
     EXPECT_GT(ie.makespan, 0);
   }
   if (yie.success) EXPECT_EQ(yie.iterations_completed, 2);
-  // Paired determinism across repeated evaluation.
-  const auto ie2 = expt::run_trial(s, est, "IE", 0, opts);
+  // Paired determinism: the facade, with its own cached estimator, replays
+  // the same trial.
+  api::Options options;
+  options.slot_cap = cap;
+  api::Session session(options);
+  const auto ie2 = session.run_trial(params, "IE", 0);
+  EXPECT_EQ(ie.success, ie2.success);
   EXPECT_EQ(ie.makespan, ie2.makespan);
+  EXPECT_EQ(yie.makespan, session.run_trial(params, "Y-IE", 0).makespan);
 }
 
 // NOTE: no structured bindings inside the name generator — the macro would

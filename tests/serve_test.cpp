@@ -16,6 +16,7 @@
 #include <set>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "api/api.hpp"
@@ -173,24 +174,30 @@ TEST(Serve, SubmitStreamComplete) {
   EXPECT_EQ(tail_end.find("rows")->as_uint(), expected);
 }
 
-TEST(Serve, RemovedTrialBatchFieldIsNamedAtTheWire) {
+TEST(Serve, RemovedOptionFieldsAreNamedAtTheWire) {
   serve::ServerOptions opts;
   opts.root = fresh_root("batch");
   opts.threads = 1;
   serve::Server server(opts);
   Client client(server);
 
-  // A spec written for the removed lockstep executor still carries its
-  // width; the daemon must name the field instead of running the job.
-  std::string text = api::spec_to_json_string(tiny_spec());
-  const std::size_t at = text.find("\"fast_forward\":");
-  ASSERT_NE(at, std::string::npos);
-  text.insert(at, "\"trial_batch\":1,");
-  const json::Value resp =
-      client.roundtrip(serve::submit_request("alice", json::parse(text), ""));
-  EXPECT_FALSE(is_ok(resp));
-  EXPECT_NE(error_of(resp).find("spec.options.trial_batch"), std::string::npos)
-      << error_of(resp);
+  // A spec written for a removed knob (the lockstep executor's width, the
+  // private chain-store ablation) still carries it; the daemon must name
+  // the field instead of running the job.
+  const std::vector<std::pair<std::string, std::string>> removed = {
+      {"trial_batch", "1"}, {"shared_chain_stats", "false"}};
+  for (const auto& [name, value] : removed) {
+    std::string text = api::spec_to_json_string(tiny_spec());
+    const std::size_t at = text.find("\"fast_forward\":");
+    ASSERT_NE(at, std::string::npos);
+    text.insert(at, "\"" + name + "\":" + value + ",");
+    const json::Value resp =
+        client.roundtrip(serve::submit_request("alice", json::parse(text), ""));
+    EXPECT_FALSE(is_ok(resp)) << name;
+    EXPECT_NE(error_of(resp).find("spec.options." + name + ": unknown field"),
+              std::string::npos)
+        << error_of(resp);
+  }
 }
 
 TEST(Serve, MalformedRequestsAndSpecsAreRejectedByName) {

@@ -16,6 +16,7 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <chrono>
 #include <filesystem>
 #include <fstream>
 #include <map>
@@ -478,18 +479,26 @@ TEST(Shard, ShardDeathMidJobExpiresLeasesAndStaysByteIdentical) {
 
   Daemon shard1(shard_opts("kill_s1"), fresh_root("kill_s1_sock") + ".sock");
   Daemon shard2(shard_opts("kill_s2"), fresh_root("kill_s2_sock") + ".sock");
-  serve::ServerOptions copts =
-      coordinator_opts("kill_coord", {shard1.socket, shard2.socket});
+  // Shard 2 joins only once shard 1 holds a lease. Started together, shard 2
+  // could take every lease and leave shard 1 nothing to lose, or shard 1's
+  // leases could all resolve before the kill; either way the kill would
+  // expire nothing.
+  serve::ServerOptions copts = coordinator_opts("kill_coord", {shard1.socket});
   Daemon coord(copts, fresh_root("kill_coord_sock") + ".sock");
   Client client(coord.socket);
+  serve::ShardFleet& fleet = *coord.server->shard_fleet();
 
   const json::Value ack = client.submit(spec, "alice", "sweep");
   ASSERT_TRUE(is_ok(ack)) << error_of(ack);
 
-  // Kill one shard once the job is moving but nowhere near done. Its slot
-  // connections die mid-lease; the coordinator re-queues what it held and
-  // the surviving shard absorbs the rest.
-  coord.server->wait_units("sweep", 4);
+  // Kill shard 1 mid-lease: its slot connections die, the coordinator
+  // re-queues what it held and the joining shard absorbs the rest.
+  const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(30);
+  while (fleet.counters().inflight_leases.at(shard1.socket) == 0) {
+    ASSERT_LT(std::chrono::steady_clock::now(), deadline) << "shard 1 never took a lease";
+    std::this_thread::sleep_for(std::chrono::microseconds(200));
+  }
+  fleet.add_shard(shard2.socket);
   shard1.kill();
 
   const auto status = coord.server->wait_job("sweep");
@@ -501,8 +510,7 @@ TEST(Shard, ShardDeathMidJobExpiresLeasesAndStaysByteIdentical) {
   EXPECT_EQ(sorted(rows), reference);
   EXPECT_EQ(rows, file_rows(copts.root + "/sweep/rows.jsonl"));
 
-  const serve::ShardFleet::Counters c = coord.server->shard_fleet()->counters();
-  EXPECT_GT(c.redispatched_units, 0u) << "the kill expired no leases";
+  EXPECT_GT(fleet.counters().redispatched_units, 0u) << "the kill expired no leases";
 }
 
 TEST(Shard, CoordinatorRestartResumesMergedJobWithStableOffsets) {

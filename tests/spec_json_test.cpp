@@ -59,7 +59,6 @@ api::ExperimentSpec full_spec() {
   spec.options.fast_forward = false;
   spec.options.realization_budget = (1ull << 33) + 5;  // > 32 bits
   spec.options.eps = 1e-4;
-  spec.options.shared_chain_stats = false;
   spec.options.init = tcgrid::platform::InitialStates::AllUp;
   spec.options.threads = 3;
   spec.options.seed = std::numeric_limits<std::uint64_t>::max();
@@ -104,7 +103,6 @@ TEST(SpecJson, EveryFieldSurvivesTheRoundTrip) {
   EXPECT_EQ(back.options.fast_forward, spec.options.fast_forward);
   EXPECT_EQ(back.options.realization_budget, spec.options.realization_budget);
   EXPECT_EQ(back.options.eps, spec.options.eps);
-  EXPECT_EQ(back.options.shared_chain_stats, spec.options.shared_chain_stats);
   EXPECT_EQ(back.options.init, spec.options.init);
   EXPECT_EQ(back.options.threads, spec.options.threads);
   EXPECT_EQ(back.options.seed, spec.options.seed);
@@ -159,6 +157,8 @@ TEST(SpecJson, ErrorsNameTheOffendingField) {
   // A removed option is unknown too: it must not silently fall back.
   expect_field_error(R"({"options": {"trial_batch": 1}})",
                      "spec.options.trial_batch: unknown field");
+  expect_field_error(R"({"options": {"shared_chain_stats": false}})",
+                     "spec.options.shared_chain_stats: unknown field");
   expect_field_error(R"({"trials": "ten"})", "spec.trials");
   expect_field_error(R"({"trials": "ten"})", "expected an integer");
   expect_field_error(R"({"grid": {"ms": [1, "two"]}})", "spec.grid.ms[1]");
