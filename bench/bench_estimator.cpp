@@ -6,9 +6,9 @@
 //    evaluation path that the incremental heuristics hammer (m x p times
 //    per scheduling decision);
 //  * --emit_json[=PATH]: the CI perf smoke for the canonical chain-stats
-//    store (DESIGN.md §10) — time cold Estimator construction+evaluate,
-//    warm evaluate, survival-table growth and warm resubmission over a
-//    shared markov::ChainStatsStore, verify that the estimates read through
+//    store (DESIGN.md §10) — time cold Estimator construction+evaluate
+//    (a fresh store per rep), then warm evaluate, survival-table growth and
+//    warm resubmission over a shared markov::ChainStatsStore, verify that the estimates read through
 //    the warm shared store are bit-identical to a fresh store's, and write
 //    the timings plus store hit rates to BENCH_estimator.json. Exit codes:
 //    0 ok, 2 on any warm/fresh divergence (CI fails on it).
@@ -174,7 +174,7 @@ platform::Scenario homogeneous_scenario(int p) {
 }
 
 struct StoreTiming {
-  double cold_us = 0.0;       ///< construct + first-decision evaluates, fresh estimator
+  double cold_us = 0.0;       ///< construct + first-decision evaluates, fresh store
   double warm_ns = 0.0;       ///< evaluate on a warm estimator
   double growth_us = 0.0;     ///< p_no_down deep-table growth, fresh estimator
 };
@@ -213,8 +213,8 @@ std::vector<double> probe_values(const sched::Estimator& est, const Probe& p) {
   return out;
 }
 
-/// Timings over one shared store, which every estimator below resolves
-/// through (so it ends warm).
+/// Cold timings give every rep a fresh store; the warm and growth timings
+/// share `store`, so it ends warm.
 StoreTiming time_store(const platform::Scenario& scenario, const Probe& probe,
                        const std::shared_ptr<markov::ChainStatsStore>& store, int reps) {
   StoreTiming out;
@@ -224,11 +224,12 @@ StoreTiming time_store(const platform::Scenario& scenario, const Probe& probe,
 
   // Cold: construction + a first incremental decision's worth of candidate
   // evaluations (the builder scores growing prefix sets) per fresh
-  // estimator — the cost a sweep pays per scenario cell (and per thread)
+  // estimator over a fresh store — the cost a sweep pays per scenario cell
   // before any cache is warm.
   auto t0 = std::chrono::steady_clock::now();
   for (int r = 0; r < reps; ++r) {
-    sched::Estimator est(scenario.platform, scenario.app, 1e-6, store);
+    sched::Estimator est(scenario.platform, scenario.app, 1e-6,
+                         std::make_shared<markov::ChainStatsStore>(1e-6));
     for (int len = 1; len <= k; ++len) {
       benchmark::DoNotOptimize(
           est.evaluate(std::span(needs).first(len), std::span(set).first(len), 20));

@@ -26,13 +26,14 @@ struct Options {
   // --- shared availability realizations (DESIGN.md §9) ---------------------
   /// Peak bytes one materialized availability realization may occupy during
   /// a sweep. Session::run materializes each (scenario, trial) realization
-  /// once — per-worker run-length intervals plus the engine's digest
-  /// bitsets — and replays it to every heuristic instead of regenerating
-  /// the stream per run. A realization that would outgrow this budget is
-  /// dropped and the unit falls back to live generation (bit-identical
-  /// results either way — enforced by tests and the bench_sweep digest
-  /// check). 0 disables sharing entirely (every run generates live), which
-  /// is the ablation baseline bench_sweep compares against.
+  /// once, as per-worker run-length intervals, and every heuristic reads it
+  /// through a RealizationView instead of regenerating the stream per run.
+  /// platform::Realization::bytes() counts those runs only (16 bytes each),
+  /// so this bounds the RLE size. A realization that would outgrow the
+  /// budget is dropped and the unit falls back to live generation
+  /// (bit-identical results either way — enforced by tests and the
+  /// bench_sweep digest check). 0 disables sharing entirely (every run
+  /// generates live), which is the baseline bench_sweep compares against.
   std::size_t realization_budget = 64ull << 20;  ///< 64 MiB
 
   // --- estimator -----------------------------------------------------------

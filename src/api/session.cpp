@@ -45,7 +45,6 @@ struct EngineMetrics {
   obs::Counter per_slot_steps;
   obs::Counter runs_comm, runs_configured, runs_idle;
   obs::Counter slots_comm, slots_configured, slots_idle;
-  obs::Counter replay_jumps;
   obs::Histogram bulk_advance_slots;
   obs::Counter builds_reuse, builds_memo_hit, builds_fresh;
   obs::Gauge avail_kernel_info;  ///< 1, labelled with the availability SIMD kernel
@@ -63,7 +62,6 @@ EngineMetrics& engine_metrics() {
         reg.counter("tcgrid_engine_bulk_slots_total", {{"kind", "comm"}}),
         reg.counter("tcgrid_engine_bulk_slots_total", {{"kind", "configured"}}),
         reg.counter("tcgrid_engine_bulk_slots_total", {{"kind", "idle"}}),
-        reg.counter("tcgrid_engine_replay_jumps_total"),
         reg.histogram("tcgrid_engine_bulk_advance_slots"),
         reg.counter("tcgrid_sched_builds_total", {{"path", "reuse"}}),
         reg.counter("tcgrid_sched_builds_total", {{"path", "memo_hit"}}),
@@ -91,7 +89,6 @@ void flush_engine_telemetry(const sim::Engine& engine, const sim::Scheduler& sch
   m.slots_comm.inc(static_cast<std::uint64_t>(t.bulk_slots_comm));
   m.slots_configured.inc(static_cast<std::uint64_t>(t.bulk_slots_configured));
   m.slots_idle.inc(static_cast<std::uint64_t>(t.bulk_slots_idle));
-  m.replay_jumps.inc(static_cast<std::uint64_t>(t.replay_jumps));
   m.bulk_advance_slots.merge(t.bulk_advance_slots);
   const sched::BuildCounts b = sched::build_counts(scheduler);
   m.builds_reuse.inc(static_cast<std::uint64_t>(b.reuses));
@@ -331,8 +328,8 @@ std::vector<sim::SimulationResult> Session::run_unit(
     if (realization.has_value()) {
       // Last consumer: whatever this run needs beyond the already
       // materialized prefix will never be replayed, so stop recording —
-      // the engine continues live on the realization's own source past the
-      // frontier (bit-identical stream continuation). With a single
+      // the engine's view continues live on the realization's own source
+      // past the frontier (bit-identical stream continuation). With a single
       // heuristic this degrades sharing to plain live generation, which is
       // exactly right.
       if (h + 1 == heuristics.size()) realization->freeze();

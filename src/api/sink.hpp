@@ -88,8 +88,9 @@ class AggregateSink final : public ResultSink {
   expt::SweepResults results_;
 };
 
-/// Streams one CSV row per trial (schema of expt::outcomes_csv plus the
-/// per-run restart/reconfiguration/idle counters).
+/// Streams one CSV row per trial: heuristic, availability family, scenario
+/// cell (m, ncom, wmin, scenario_seed), trial, success, makespan and the
+/// per-run restart/reconfiguration/idle counters.
 class CsvSink final : public ResultSink {
  public:
   /// Write to an external stream (kept open; caller owns lifetime).

@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <set>
 
-#include "util/csv.hpp"
-
 namespace tcgrid::expt {
 
 std::vector<HeuristicSummary> summarize_all(const SweepResults& results,
@@ -80,24 +78,6 @@ util::Table figure2_table(const Figure2Series& series) {
     table.add_row(std::move(row));
   }
   return table;
-}
-
-std::string outcomes_csv(const SweepResults& results) {
-  util::CsvWriter csv({"heuristic", "m", "ncom", "wmin", "scenario_seed", "trial",
-                       "success", "makespan"});
-  for (std::size_t h = 0; h < results.heuristics.size(); ++h) {
-    for (std::size_t sc = 0; sc < results.scenarios.size(); ++sc) {
-      const auto& p = results.scenarios[sc];
-      for (std::size_t t = 0; t < results.outcomes[h][sc].size(); ++t) {
-        const auto& o = results.outcomes[h][sc][t];
-        csv.add_row({results.heuristics[h], std::to_string(p.m),
-                     std::to_string(p.ncom), std::to_string(p.wmin),
-                     std::to_string(p.seed), std::to_string(t),
-                     o.success ? "1" : "0", std::to_string(o.makespan)});
-      }
-    }
-  }
-  return csv.str();
 }
 
 }  // namespace tcgrid::expt

@@ -30,8 +30,4 @@ using Figure2Series = std::map<std::string, std::vector<std::pair<long, double>>
 /// Render a Figure 2 series as a wmin-by-heuristic table.
 [[nodiscard]] util::Table figure2_table(const Figure2Series& series);
 
-/// Export every raw trial outcome as CSV (one row per heuristic x scenario x
-/// trial) for external analysis/plotting.
-[[nodiscard]] std::string outcomes_csv(const SweepResults& results);
-
 }  // namespace tcgrid::expt

@@ -22,7 +22,8 @@
 // cross-request). Two quotas apply per tenant:
 //
 //   * realization_budget — a hard cap clamping every submitted spec's
-//     Options::realization_budget (the per-unit materialization bytes);
+//     Options::realization_budget (the per-unit run-length bytes of the
+//     materialized availability);
 //   * chain_store_bytes  — a retention bound on the tenant session's
 //     chain-statistics store. When a completed unit pushes the store past
 //     the bound the tenant enters DRAINING: no new units of its jobs are
@@ -60,9 +61,9 @@
 namespace tcgrid::serve {
 
 struct TenantQuota {
-  /// Hard cap on a submitted spec's Options::realization_budget (bytes of
-  /// materialized availability per (scenario, trial) unit). 0 forces live
-  /// generation for every unit of the tenant.
+  /// Hard cap on a submitted spec's Options::realization_budget (run-length
+  /// bytes of materialized availability per (scenario, trial) unit). 0
+  /// forces live generation for every unit of the tenant.
   std::size_t realization_budget = 64ull << 20;
   /// Retention bound on the tenant session's chain-statistics store; see
   /// the DRAINING protocol above.

@@ -17,27 +17,13 @@ inline bool is_up(markov::State s) noexcept { return s == markov::State::Up; }
 Engine::Engine(const platform::Platform& platform, const model::Application& app,
                platform::AvailabilitySource& availability, Scheduler& scheduler,
                EngineOptions options)
-    : Engine(platform, app, &availability, nullptr, scheduler, options) {}
-
-Engine::Engine(const platform::Platform& platform, const model::Application& app,
-               platform::Realization& realization, Scheduler& scheduler,
-               EngineOptions options)
-    : Engine(platform, app, nullptr, &realization, scheduler, options) {}
-
-Engine::Engine(const platform::Platform& platform, const model::Application& app,
-               platform::AvailabilitySource* availability,
-               platform::Realization* realization, Scheduler& scheduler,
-               EngineOptions options)
     : platform_(platform),
       app_(app),
-      availability_(availability),
-      realization_(realization),
+      availability_(&availability),
       scheduler_(scheduler),
       options_(options) {
   app_.validate();
-  const int avail_size =
-      availability_ != nullptr ? availability_->size() : realization_->size();
-  if (avail_size != platform_.size()) {
+  if (availability_->size() != platform_.size()) {
     throw std::invalid_argument("Engine: availability/platform size mismatch");
   }
   if (options_.slot_cap < 1) throw std::invalid_argument("Engine: slot_cap < 1");
@@ -45,17 +31,6 @@ Engine::Engine(const platform::Platform& platform, const model::Application& app
   // A block never needs to exceed the run length: clamping bounds the buffer
   // (and the prefetch overshoot) by slot_cap however large the option is.
   block_slots_ = std::min(options_.avail_block, options_.slot_cap);
-  if (realization_ != nullptr) {
-    // Replay windows are RLE expansion plus a copy of precomputed digests.
-    // Expansion is no longer much cheaper than live generation: at p = 20 on
-    // a 4-core x86-64 host it measures 1.2-1.3 ns per processor-slot against
-    // 2.1-2.4 ns for the AVX2 live path (13-14 ns before the SIMD kernels,
-    // DESIGN.md §7). A replay window also skips the live path's per-row
-    // digest pass, so it is widened to amortize the per-refill run lookups.
-    // Any window size yields identical results (the window is a view of an
-    // immutable timeline, not a generation step).
-    block_slots_ = std::min(std::max(options_.avail_block, 1024L), options_.slot_cap);
-  }
   const auto p = static_cast<std::size_t>(platform_.size());
   holdings_.resize(p);
   actions_.resize(p);
@@ -70,10 +45,19 @@ Engine::Engine(const platform::Platform& platform, const model::Application& app
     digest_new_down_.resize(rows);
     prev_row_.resize(p);
   }
-  if (realization_ != nullptr) {
-    row_scratch_.resize(p);
-    prev_scratch_.resize(p);
-  }
+}
+
+Engine::Engine(const platform::Platform& platform, const model::Application& app,
+               platform::Realization& realization, Scheduler& scheduler,
+               EngineOptions options)
+    : Engine(platform, app, std::make_unique<platform::RealizationView>(realization),
+             scheduler, options) {}
+
+Engine::Engine(const platform::Platform& platform, const model::Application& app,
+               std::unique_ptr<platform::AvailabilitySource> owned, Scheduler& scheduler,
+               EngineOptions options)
+    : Engine(platform, app, *owned, scheduler, options) {
+  owned_source_ = std::move(owned);
 }
 
 SimulationResult Engine::run() {
@@ -83,8 +67,8 @@ SimulationResult Engine::run() {
   trace_.clear();
   iteration_start_ = 0;
   consults_ = 0;
-  // Full re-run reset: a second run() continues a live source's stream (or
-  // replays a realization from slot 0) with clean application state.
+  // Full re-run reset: a second run() continues the source's stream with
+  // clean application state.
   finished_ = false;
   iterations_done_ = 0;
   config_ = model::Configuration{};
@@ -94,7 +78,6 @@ SimulationResult Engine::run() {
   std::fill(comm_remaining_buf_.begin(), comm_remaining_buf_.end(), 0);
 
   block_pos_ = block_filled_ = 0;  // (re-)pull from the source's current slot
-  block_base_ = 0;
   prev_row_valid_ = false;
   quiesce_ = nullptr;
   horizon_left_ = 0;
@@ -137,40 +120,9 @@ void Engine::step_slot() {
 
 void Engine::refill_block() {
   const std::size_t p = holdings_.size();
-  if (realization_ != nullptr && realization_->frozen() &&
-      slot_ >= realization_->frontier()) {
-    switch_to_live();  // single remaining consumer: stop recording the tail
-  }
-  if (realization_ != nullptr) {
-    // Replay window: rows come from the realization's RLE intervals and the
-    // digests from its precomputed bitsets — nothing is generated or
-    // re-digested. The window always restarts at the current slot, so it is
-    // valid after change-to-change jumps as well as after sequential
-    // consumption (the two ways the previous window empties).
-    const long base = slot_;
-    long hi = std::min(base + block_slots_, options_.slot_cap);
-    if (realization_->frozen()) hi = std::min(hi, realization_->frontier());
-    assert(base < hi);
-    realization_->ensure(hi);
-    realization_->expand_rows(base, hi, block_.data());
-    block_base_ = base;
-    block_filled_ = hi - base;
-    block_pos_ = 0;
-    if (options_.fast_forward) {
-      realization_->copy_digests(base, hi, digest_up_changed_.data(),
-                                 digest_up_gain_.data(), digest_new_down_.data());
-      if (base > 0) {
-        realization_->expand_rows(base - 1, base, prev_row_.data());
-        prev_row_valid_ = true;
-      } else {
-        prev_row_valid_ = false;
-      }
-    }
-    return;
-  }
-  // Live mode: availability is consumed through the block-stepping contract —
-  // one fill_block call (which also advances the source) per avail_block
-  // slots, then row-wise consumption, no per-processor virtual dispatch.
+  // Availability is consumed through the block-stepping contract: one
+  // fill_block call (which also advances the source) per avail_block slots,
+  // then row-wise consumption, no per-processor virtual dispatch.
   if (options_.fast_forward && block_filled_ > 0) {
     // Keep the outgoing block's last row: the incoming block's first-row
     // digests are relative to it.
@@ -574,10 +526,6 @@ void Engine::fast_forward() {
   if (quiesce_ == nullptr) return;
   const Quiescence::Kind kind = quiesce_->kind;
   if (kind == Quiescence::Kind::EverySlot) return;
-  // Replay mode without tracing jumps change-to-change over the
-  // realization's digest bitsets instead of walking window rows; tracing
-  // needs every row, so it stays on the (replay-fed) row-wise loops.
-  const bool jump = realization_ != nullptr && !options_.record_trace;
 
   if (!config_.empty()) {
     if (last_phase_ == Phase::Comm || last_phase_ == Phase::Stalled) {
@@ -597,10 +545,8 @@ void Engine::fast_forward() {
                                decision_no_change_ && !message_completed_;
       if (kind != Quiescence::Kind::WhileConfigured && !until_event) return;
       const long before = slot_;
-      const bool jumped = jump && kind == Quiescence::Kind::WhileConfigured;
-      if (jumped) advance_comm_jump();
-      else advance_comm_run(kind);
-      note_bulk_advance(telem_.bulk_runs_comm, telem_.bulk_slots_comm, before, jumped);
+      advance_comm_run(kind);
+      note_bulk_advance(telem_.bulk_runs_comm, telem_.bulk_slots_comm, before);
       return;
     }
     // Compute-phase bulk advance. Only valid when the just-processed slot
@@ -609,32 +555,25 @@ void Engine::fast_forward() {
     // slot changes them, a completion slot cleared config_.
     if (last_phase_ != Phase::Compute && last_phase_ != Phase::Suspended) return;
     if (kind != Quiescence::Kind::WhileConfigured && !decision_no_change_) return;
-    // Enrolled-RLE stretches only exist for WhileConfigured (other kinds
-    // stop at global events, which the row-wise window walk handles best).
     const long before = slot_;
-    const bool jumped = jump && kind == Quiescence::Kind::WhileConfigured;
-    if (jumped) advance_configured_jump();
-    else advance_configured_run(kind);
-    note_bulk_advance(telem_.bulk_runs_configured, telem_.bulk_slots_configured,
-                      before, jumped);
+    advance_configured_run(kind);
+    note_bulk_advance(telem_.bulk_runs_configured, telem_.bulk_slots_configured, before);
   } else {
     // Idle bulk advance: the scheduler just declined to build (no UP
     // capacity). WhileConfigured says nothing about the no-config case.
     if (last_phase_ != Phase::Idle || !decision_no_change_) return;
     if (kind == Quiescence::Kind::WhileConfigured) return;
     const long before = slot_;
-    if (jump) advance_idle_jump(kind);
-    else advance_idle_run(kind);
-    note_bulk_advance(telem_.bulk_runs_idle, telem_.bulk_slots_idle, before, jump);
+    advance_idle_run(kind);
+    note_bulk_advance(telem_.bulk_runs_idle, telem_.bulk_slots_idle, before);
   }
 }
 
-void Engine::note_bulk_advance(long& runs, long& slots, long before, bool jumped) {
+void Engine::note_bulk_advance(long& runs, long& slots, long before) {
   const long advanced = slot_ - before;
   if (advanced <= 0) return;
   ++runs;
   slots += advanced;
-  if (jumped) ++telem_.replay_jumps;
   telem_.bulk_advance_slots.observe(static_cast<std::uint64_t>(advanced));
 }
 
@@ -796,249 +735,6 @@ void Engine::advance_comm_run(Quiescence::Kind kind) {
       apply_comm_progress(static_cast<std::size_t>(proc), run);
     }
   }
-}
-
-// --------------------------------------------------------------------------
-// Realization replay jumps (DESIGN.md §9), mirrors of the advance_*_run
-// loops above with the per-row work replaced by realization queries:
-//
-//   * WhileConfigured compute/suspend and comm runs advance by ENROLLED-SET
-//     homogeneous stretches read straight off the per-worker RLE intervals
-//     (Realization::stable_until). While every enrolled worker holds its
-//     state, the row-wise loop's per-slot outcome is frozen (all_up /
-//     any_down / the served comm set depend only on enrolled states), so a
-//     whole stretch is applied arithmetically; crashes of un-enrolled
-//     workers inside the stretch are applied in aggregate (down_overlaps —
-//     sound because crash() is idempotent and a DOWN worker's holdings
-//     cannot change until processed again).
-//   * Idle runs (and any horizon-latched kind) stop at GLOBAL events, so
-//     they jump over the digest bitsets (next_change) instead.
-//   * Configured runs on any other kind (UntilEvent compute/suspend and
-//     comm runs) stay on the row-wise loops above.
-//
-// Every slot examined individually reads the identical states and digest
-// values the row-wise loop would read from its window, so both paths take
-// the same decisions at the same slots: results are bit-identical.
-// --------------------------------------------------------------------------
-
-void Engine::resync_window() {
-  // Jumps advance slot_ without consuming window rows. If the new position
-  // is still inside the (immutable, absolute-indexed) window, just re-point;
-  // otherwise force the next refill to rebuild at slot_.
-  if (block_filled_ > 0 && slot_ >= block_base_ && slot_ < block_base_ + block_filled_) {
-    block_pos_ = slot_ - block_base_;
-  } else {
-    block_pos_ = 0;
-    block_filled_ = 0;
-  }
-}
-
-const markov::State* Engine::jump_row(long slot) {
-  realization_->ensure(slot + 1);
-  realization_->expand_rows(slot, slot + 1, row_scratch_.data());
-  return row_scratch_.data();
-}
-
-void Engine::switch_to_live() {
-  // The frozen realization's embedded source stands exactly at the
-  // frontier (materialization consumes it through fill_block and nothing
-  // else touches it), and slot_ has reached that frontier: from here the
-  // run IS the ordinary live engine on a continued stream — same rows,
-  // same digests, same loops — so recording the remaining slots (which no
-  // other run will ever replay) is skipped entirely.
-  assert(realization_->frontier() == slot_);
-  assert(realization_->source().position() == slot_);
-  if (options_.fast_forward) {
-    if (slot_ > 0) {
-      realization_->expand_rows(slot_ - 1, slot_, prev_row_.data());
-      prev_row_valid_ = true;
-    } else {
-      prev_row_valid_ = false;
-    }
-  }
-  availability_ = &realization_->source();
-  realization_ = nullptr;
-  // Back to the live prefetch sizing: generation is expensive again, so the
-  // wide replay window would only grow the overshoot past the makespan.
-  block_slots_ = std::min(options_.avail_block, options_.slot_cap);
-  block_pos_ = 0;
-  block_filled_ = 0;
-}
-
-void Engine::crash_down_in_range(long begin, long end) {
-  // Aggregate process_downs over the skipped slots [begin, end]: any worker
-  // DOWN somewhere in the range is crashed once (idempotent; see above). No
-  // enrolled worker is ever DOWN inside a stretch, so this only sweeps
-  // up-for-grabs holdings of un-enrolled workers.
-  if (begin > end) return;
-  if (!realization_->any_new_down(begin, end)) return;  // nothing fresh to crash
-  for (std::size_t q = 0; q < holdings_.size(); ++q) {
-    // Empty holdings make crash() a no-op: skip the interval walk entirely.
-    // This prunes the sweep to the few workers actually holding program or
-    // data (the enrolled ones are holders but are never DOWN in a stretch —
-    // their walk just comes back false).
-    const model::Holdings& h = holdings_[q];
-    if (!h.has_program && h.data_messages == 0 && h.partial_slots == 0) continue;
-    if (realization_->down_overlaps(static_cast<int>(q), begin, end)) {
-      holdings_[q].crash();
-    }
-  }
-}
-
-void Engine::advance_configured_jump() {
-  // WhileConfigured only: the scheduler stays silent for the lifetime of
-  // the configuration, so the only stretch bounds are enrolled-state
-  // changes, iteration completion and the slot cap.
-  const auto assigns = config_.assignments();
-  enrolled_buf_.clear();
-  for (const auto& a : assigns) enrolled_buf_.push_back(a.proc);
-  // Frozen realizations end at their frontier: cap stretches there and hand
-  // the rest to the per-slot path, whose refill switches to live mode.
-  const long replay_end =
-      realization_->frozen() ? realization_->frontier() : options_.slot_cap;
-  bool all_up = last_phase_ == Phase::Compute;
-  while (slot_ < options_.slot_cap) {
-    if (slot_ >= replay_end) break;
-    long limit = std::min(options_.slot_cap, replay_end);
-    const long need = compute_total_ - compute_done_;
-    if (all_up && slot_ + need < limit) limit = slot_ + need;
-    const long e = realization_->stable_until(enrolled_buf_, slot_ - 1, limit);
-    const long run = e - slot_;
-    if (run > 0) {
-      if (all_up) {
-        if (run >= need) {
-          // The iteration completes inside the stretch.
-          crash_down_in_range(slot_, slot_ + need - 1);
-          compute_done_ = compute_total_;
-          current_iter_.compute_slots += need;
-          slot_ += need - 1;
-          complete_iteration();
-          ++slot_;
-          resync_window();
-          return;
-        }
-        compute_done_ += run;
-        current_iter_.compute_slots += run;
-      } else {
-        current_iter_.suspended_slots += run;
-      }
-      crash_down_in_range(slot_, e - 1);
-      slot_ = e;
-      if (slot_ >= options_.slot_cap) break;
-    }
-    if (slot_ >= replay_end) break;  // frozen boundary, not a change slot
-    // slot_ == e < cap: some enrolled worker changed state here. Reclassify
-    // from the RLE point lookups, exactly as the row-wise loop reads its row.
-    bool any_down = false;
-    bool row_all_up = true;
-    for (int proc : enrolled_buf_) {
-      const markov::State s = realization_->state_at(proc, slot_);
-      if (s == markov::State::Down) {
-        any_down = true;
-        break;
-      }
-      if (s != markov::State::Up) row_all_up = false;
-    }
-    if (any_down) break;  // restart: hand the slot to the per-slot path
-    crash_down_in_range(slot_, slot_);
-    if (row_all_up) {
-      ++compute_done_;
-      ++current_iter_.compute_slots;
-      if (compute_done_ >= compute_total_) {
-        complete_iteration();
-        ++slot_;
-        resync_window();
-        return;
-      }
-    } else {
-      ++current_iter_.suspended_slots;
-    }
-    ++slot_;
-    all_up = row_all_up;
-  }
-  resync_window();
-}
-
-void Engine::advance_comm_jump() {
-  // The just-processed slot may have finished the last transfer; the next
-  // slot then belongs to the compute phase, not to a comm run.
-  if (comm_phase_done()) return;
-  const auto assigns = config_.assignments();
-  // Who gets served while the enrolled states hold (first ncom pending
-  // workers in enrollment order), and for how long: until a served transfer
-  // finishes, an enrolled state changes, or the cap.
-  pending_.clear();
-  long serveable = 0;
-  long finish_horizon = std::numeric_limits<long>::max();
-  enrolled_buf_.clear();
-  for (const auto& a : assigns) {
-    enrolled_buf_.push_back(a.proc);
-    const auto q = static_cast<std::size_t>(a.proc);
-    if (states_[q] != markov::State::Up) continue;
-    if (comm_remaining_buf_[q] == 0) continue;
-    if (serveable < platform_.ncom()) {
-      pending_.push_back(a.proc);
-      finish_horizon = std::min(finish_horizon, comm_remaining_buf_[q]);
-      ++serveable;
-    }
-  }
-  long limit = options_.slot_cap;
-  if (realization_->frozen()) limit = std::min(limit, realization_->frontier());
-  if (limit <= slot_) return;  // at the frozen boundary: per-slot path switches
-  if (finish_horizon < limit - slot_) limit = slot_ + finish_horizon;  // no overflow
-  // One stretch is the whole run: the row-wise loop ends for good at the
-  // first enrolled-state deviation (or the horizon/cap), never resuming.
-  const long e = realization_->stable_until(enrolled_buf_, slot_ - 1, limit);
-  const long run = e - slot_;
-  if (run <= 0) return;
-  crash_down_in_range(slot_, e - 1);
-  if (pending_.empty()) {
-    // Every unfinished transfer is paused on a RECLAIMED worker.
-    current_iter_.stalled_slots += run;
-  } else {
-    current_iter_.comm_slots += run;
-    for (int proc : pending_) {
-      apply_comm_progress(static_cast<std::size_t>(proc), run);
-    }
-  }
-  slot_ = e;
-  resync_window();
-}
-
-void Engine::advance_idle_jump(Quiescence::Kind kind) {
-  // Idle stops are GLOBAL (a worker joining UP anywhere can end them), so
-  // the stretch oracle is the digest bitset scan, not the enrolled RLE.
-  const long replay_end =
-      realization_->frozen() ? realization_->frontier() : options_.slot_cap;
-  while (slot_ < options_.slot_cap) {
-    if (slot_ >= replay_end) break;  // frozen boundary: per-slot path switches
-    if (horizon_left_ <= 0) break;
-    long lim = std::min(options_.slot_cap, replay_end);
-    if (horizon_left_ < lim - slot_) lim = slot_ + horizon_left_;  // no overflow
-    const long event = realization_->next_change(slot_, lim);
-    const long run = event - slot_;
-    result_.idle_slots += run;
-    slot_ = event;
-    horizon_left_ -= run;
-    if (slot_ >= options_.slot_cap) break;
-    if (event == lim) continue;  // horizon boundary, not a change slot
-    const bool chg = realization_->up_changed_at(slot_);
-    if (kind == Quiescence::Kind::UntilUpSetChanges) {
-      if (chg) break;
-    } else {  // UntilEvent
-      if (realization_->up_gain_at(slot_)) break;
-      if (chg) {
-        const markov::State* row = jump_row(slot_);
-        realization_->expand_rows(slot_ - 1, slot_, prev_scratch_.data());
-        if (watched_membership_changed(prev_scratch_.data(), row)) break;
-      }
-    }
-    if (realization_->new_down_at(slot_)) crash_down_in_row(jump_row(slot_));
-    ++result_.idle_slots;
-    ++slot_;
-    --horizon_left_;
-  }
-  resync_window();
 }
 
 void Engine::advance_idle_run(Quiescence::Kind kind) {

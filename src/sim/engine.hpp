@@ -3,6 +3,7 @@
 // event-horizon fast-forward loop.
 #pragma once
 
+#include <memory>
 #include <span>
 #include <vector>
 
@@ -69,17 +70,14 @@ class Engine {
          platform::AvailabilitySource& availability, Scheduler& scheduler,
          EngineOptions options = {});
 
-  /// Replay mode (DESIGN.md §9): consume a materialized realization instead
-  /// of generating availability live. Rows are expanded from the
-  /// realization's run-length intervals and the fast-forward digests are
-  /// copied from its precomputed bitsets; when tracing is off, the
-  /// event-horizon loop additionally jumps change-to-change over the digest
-  /// bitsets without expanding the skipped rows at all. Results — counters,
-  /// iteration stats AND traces — are bit-identical to a live source built
-  /// from the same (family, seed, init). The realization is extended lazily,
-  /// so run() can throw platform::RealizationBudgetExceeded; the engine
-  /// holds no state worth salvaging after that (construct a fresh one
-  /// against a live source and rerun).
+  /// Run against a materialized realization (DESIGN.md §9). The engine
+  /// owns a platform::RealizationView and reads it through fill_block like
+  /// any other source, so results — counters, iteration stats AND traces —
+  /// are bit-identical to a live source built from the same (family, seed,
+  /// init). The view extends the realization lazily, so run() can throw
+  /// platform::RealizationBudgetExceeded; the engine holds no state worth
+  /// salvaging after that (construct a fresh one against a live source and
+  /// rerun).
   Engine(const platform::Platform& platform, const model::Application& app,
          platform::Realization& realization, Scheduler& scheduler,
          EngineOptions options = {});
@@ -126,25 +124,13 @@ class Engine {
   void fast_forward();
   /// Tally one bulk advance that moved slot_ from `before` to its current
   /// value into the given run/slot telemetry pair (no-op for zero-length).
-  void note_bulk_advance(long& runs, long& slots, long before, bool jumped);
+  void note_bulk_advance(long& runs, long& slots, long before);
   void advance_configured_run(Quiescence::Kind kind);
   void advance_comm_run(Quiescence::Kind kind);
   void advance_idle_run(Quiescence::Kind kind);
   void apply_comm_progress(std::size_t q, long slots);
   void refill_block();
 
-  // --- realization replay: RLE-stretch jumps (DESIGN.md §9) ----------------
-  void advance_configured_jump();
-  void advance_comm_jump();
-  void advance_idle_jump(Quiescence::Kind kind);
-  void resync_window();
-  void crash_down_in_range(long begin, long end);
-  [[nodiscard]] const markov::State* jump_row(long slot);
-  /// Frozen-realization hand-off: continue on the embedded source (standing
-  /// exactly at slot_ == frontier) as an ordinary live engine. The replayed
-  /// prefix and the live tail are one unbroken stream, so results are
-  /// unchanged.
-  void switch_to_live();
   [[nodiscard]] const markov::State* peek_row() const {
     return block_.data() + static_cast<std::size_t>(block_pos_) * states_.size();
   }
@@ -164,15 +150,16 @@ class Engine {
   void build_view();
   void record_slot();
 
+  /// Runs on `*owned` and keeps it alive for the engine's lifetime (the
+  /// realization overload's view).
   Engine(const platform::Platform& platform, const model::Application& app,
-         platform::AvailabilitySource* availability,
-         platform::Realization* realization, Scheduler& scheduler,
+         std::unique_ptr<platform::AvailabilitySource> owned, Scheduler& scheduler,
          EngineOptions options);
 
   const platform::Platform& platform_;
   const model::Application& app_;
-  platform::AvailabilitySource* availability_;  ///< live mode (exactly one of
-  platform::Realization* realization_;          ///< these two is non-null)
+  platform::AvailabilitySource* availability_;
+  std::unique_ptr<platform::AvailabilitySource> owned_source_;  ///< or null
   Scheduler& scheduler_;
   EngineOptions options_;
 
@@ -183,7 +170,6 @@ class Engine {
   long block_slots_ = 0;              ///< min(avail_block, slot_cap)
   long block_pos_ = 0;                ///< rows of block_ already consumed
   long block_filled_ = 0;             ///< rows of block_ currently valid
-  long block_base_ = 0;               ///< slot of block_ row 0 (replay mode)
   std::vector<model::Holdings> holdings_;
   model::Configuration config_;
   long compute_total_ = 0;
@@ -224,9 +210,6 @@ class Engine {
   std::vector<long> seen_mark_;  ///< per-proc stamp for duplicate detection
   long seen_gen_ = 0;
   std::vector<markov::State> comm_ref_;  ///< enrolled-state pattern of a comm run
-  std::vector<markov::State> row_scratch_;   ///< event-row expansion (replay)
-  std::vector<markov::State> prev_scratch_;  ///< its predecessor row (replay)
-  std::vector<int> enrolled_buf_;            ///< enrolled procs of a stretch
 
   // bookkeeping
   SimulationResult result_;

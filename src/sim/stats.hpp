@@ -37,9 +37,11 @@ struct SimulationResult {
 /// Observability ONLY — deliberately NOT part of SimulationResult or
 /// IterationStats: the bench digest gates (bench_common.hpp DigestSink)
 /// hash every result field and require bit-identity across fast-forward
-/// on/off and replay/live, while these tallies are a property of HOW the
-/// run executed (per-slot steps vs bulk runs vs replay jumps) and differ
-/// structurally between the strategies even though the results agree.
+/// on/off and every availability source, while these tallies are a
+/// property of HOW the run executed (per-slot steps vs bulk runs) and
+/// differ structurally between fast-forward on and off even though the
+/// results agree. A realization-fed run and a live run of the same trial
+/// take the same steps, so their tallies agree too.
 struct RunTelemetry {
   long per_slot_steps = 0;        ///< slots taken by the per-slot loop
   long bulk_runs_comm = 0;        ///< comm-phase bulk advances
@@ -48,7 +50,10 @@ struct RunTelemetry {
   long bulk_slots_comm = 0;       ///< slots covered by those advances…
   long bulk_slots_configured = 0;
   long bulk_slots_idle = 0;
-  long replay_jumps = 0;  ///< bulk advances taken via digest-bitset jumps
+  /// Always 0: the engine has one advance for every source. Kept only
+  /// because perfbench's `sim.replay_jumps` metric reads it, until that
+  /// metric is dropped.
+  long replay_jumps = 0;
   /// Length distribution of every bulk advance (slots per advance).
   obs::LocalHistogram bulk_advance_slots;
 };

@@ -239,15 +239,6 @@ TEST(Report, SummariesSortedAndReferenceIsZero) {
   EXPECT_NE(table.str().find("RANDOM"), std::string::npos);
 }
 
-TEST(Report, OutcomesCsvShape) {
-  auto results = aggregate_sweep(mini_spec());
-  const std::string csv = outcomes_csv(results);
-  // Header + 3 heuristics x 2 scenarios x 2 trials = 13 lines.
-  EXPECT_EQ(static_cast<int>(std::count(csv.begin(), csv.end(), '\n')), 13);
-  EXPECT_EQ(csv.rfind("heuristic,m,ncom,wmin,", 0), 0u);
-  EXPECT_NE(csv.find("Y-IE,5,5,1,"), std::string::npos);
-}
-
 TEST(Report, Figure2SeriesCoversWmins) {
   auto spec = mini_spec();
   spec.grid.wmins = {1, 2};

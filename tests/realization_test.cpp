@@ -1,14 +1,13 @@
 // Tests of materialized availability realizations (DESIGN.md §9):
 //
 //   * platform::Realization expands rows bit-identical to live fill_block
-//     generation for every registered availability family, and its digest
-//     bitsets match the engine's per-block digest definitions;
+//     generation for every registered availability family;
 //   * RealizationView is a faithful AvailabilitySource (per-slot == block
-//     pulls == the live source), and position() tracks consumption on every
-//     source;
-//   * the engine's replay path — window refills AND the change-to-change
-//     jump loops — is bit-identical to live generation for every heuristic
-//     across families, traces included;
+//     pulls == the live source, also across a frozen frontier), and
+//     position() tracks consumption on every source;
+//   * the engine fed by a realization is bit-identical to live generation
+//     for every heuristic across families, traces included, also when a
+//     frozen frontier falls mid-block;
 //   * the byte budget throws, and api::Session falls back to live
 //     generation with identical sweep results (shared / tiny-budget /
 //     disabled all agree);
@@ -17,6 +16,7 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -150,71 +150,14 @@ TEST(Realization, ExpandsRowsBitIdenticalToLiveGeneration) {
       }
       ASSERT_EQ(got, live) << "chunk " << chunk;
     }
-  }
-}
-
-TEST(Realization, DigestsMatchEngineDefinitions) {
-  const auto scenario = test_scenario();
-  const auto p = static_cast<std::size_t>(scenario.platform.size());
-  constexpr long kSlots = 1200;
-  for (const auto& family : families()) {
-    SCOPED_TRACE(family);
-    Realization real(make_source(family, scenario.platform, 13));
-    real.ensure(kSlots);
-    std::vector<State> rows(p * kSlots);
-    real.expand_rows(0, kSlots, rows.data());
-
-    std::vector<unsigned char> chg(kSlots), gain(kSlots), ndown(kSlots);
-    real.copy_digests(0, kSlots, chg.data(), gain.data(), ndown.data());
-
-    auto is_up = [](State s) { return s == State::Up; };
-    for (long t = 0; t < kSlots; ++t) {
-      bool r_chg = true, r_gain = true, r_ndown = true;  // slot 0: conservative
-      if (t > 0) {
-        r_chg = r_gain = r_ndown = false;
-        const State* prev = rows.data() + static_cast<std::size_t>(t - 1) * p;
-        const State* row = rows.data() + static_cast<std::size_t>(t) * p;
-        for (std::size_t q = 0; q < p; ++q) {
-          r_chg |= is_up(prev[q]) != is_up(row[q]);
-          r_gain |= !is_up(prev[q]) && is_up(row[q]);
-          r_ndown |= row[q] == State::Down && prev[q] != State::Down;
-        }
-      }
-      ASSERT_EQ(static_cast<bool>(chg[t]), r_chg) << "slot " << t;
-      ASSERT_EQ(static_cast<bool>(gain[t]), r_gain) << "slot " << t;
-      ASSERT_EQ(static_cast<bool>(ndown[t]), r_ndown) << "slot " << t;
-      ASSERT_EQ(real.up_changed_at(t), r_chg) << "slot " << t;
-      ASSERT_EQ(real.up_gain_at(t), r_gain) << "slot " << t;
-      ASSERT_EQ(real.new_down_at(t), r_ndown) << "slot " << t;
+    // Backwards, so expansions start away from the sequential-read hints.
+    std::vector<State> back(p * kSlots);
+    for (long t = (kSlots - 1) / 64 * 64; t >= 0; t -= 64) {
+      const long hi = std::min(kSlots, t + 64);
+      real.expand_rows(t, hi, back.data() + static_cast<std::size_t>(t) * p);
     }
+    ASSERT_EQ(back, live) << "backwards";
   }
-}
-
-TEST(Realization, NextChangeMatchesNaiveScan) {
-  const auto scenario = test_scenario();
-  constexpr long kSlots = 900;
-  Realization real(make_source("markov", scenario.platform, 17));
-  real.ensure(kSlots);
-  auto naive = [&](long from, long limit) {
-    for (long t = from; t < limit; ++t) {
-      if (real.up_changed_at(t) || real.new_down_at(t)) return t;
-    }
-    return limit;
-  };
-  for (long from : {0L, 1L, 63L, 64L, 65L, 130L, 500L, 897L}) {
-    for (long limit : {from, from + 1, from + 50, from + 200, kSlots}) {
-      if (limit < from || limit > kSlots) continue;
-      EXPECT_EQ(real.next_change(from, limit), naive(from, limit))
-          << "from " << from << " limit " << limit;
-    }
-  }
-  // next_change extends the frontier on demand: scanning from the frontier
-  // itself must materialize at least one more chunk.
-  const long old_frontier = real.frontier();
-  const long next = real.next_change(old_frontier, old_frontier + 100);
-  EXPECT_GT(real.frontier(), old_frontier);
-  EXPECT_GE(next, old_frontier);
-  EXPECT_LE(next, old_frontier + 100);
 }
 
 TEST(Realization, ViewIsAFaithfulSource) {
@@ -247,6 +190,51 @@ TEST(Realization, ViewIsAFaithfulSource) {
     }
     EXPECT_EQ(view.position(), live->position());
   }
+
+  // A frozen realization: one fill_block straddles the frontier, its first
+  // rows from the RLE and the rest from the embedded source; per-slot reads
+  // then keep pulling the live tail.
+  for (const auto& family : families()) {
+    SCOPED_TRACE(family + " frozen");
+    auto live = make_source(family, scenario.platform, 21);
+    Realization real(make_source(family, scenario.platform, 21));
+    real.ensure(1);
+    real.freeze();
+    const long frontier = real.frontier();
+    RealizationView view(real);
+
+    constexpr long kHead = 5;
+    std::vector<State> live_block(p * static_cast<std::size_t>(frontier));
+    std::vector<State> view_block(live_block.size());
+    live->fill_block(live_block.data(), frontier - kHead);
+    view.fill_block(view_block.data(), frontier - kHead);
+    ASSERT_EQ(view_block, live_block);
+
+    constexpr long kStraddle = 40;  // kHead rows of RLE, the rest live
+    live_block.resize(p * kStraddle);
+    view_block.resize(p * kStraddle);
+    live->fill_block(live_block.data(), kStraddle);
+    view.fill_block(view_block.data(), kStraddle);
+    ASSERT_EQ(view_block, live_block);
+    EXPECT_EQ(view.position(), frontier - kHead + kStraddle);
+    EXPECT_EQ(real.source().position(), view.position());
+    EXPECT_EQ(real.frontier(), frontier);  // the tail is never recorded
+
+    for (long t = 0; t < 20; ++t) {
+      for (int q = 0; q < static_cast<int>(p); ++q) {
+        ASSERT_EQ(view.state(q), live->state(q)) << "tail slot " << t << " proc " << q;
+      }
+      live->advance();
+      view.advance();
+    }
+    EXPECT_EQ(real.source().position(), view.position());
+
+    // A second reader past the frontier would see a gap in the stream.
+    RealizationView other(real);
+    std::vector<State> prefix(p * static_cast<std::size_t>(frontier));
+    other.fill_block(prefix.data(), frontier);
+    EXPECT_THROW(other.advance(), std::logic_error);
+  }
 }
 
 TEST(Realization, BudgetOverflowThrows) {
@@ -271,9 +259,9 @@ TEST(Realization, RejectsAdvancedSource) {
 
 // ------------------------------------------------------------ engine replay ----
 
-/// Live vs replayed runs for one (scenario, family, heuristic, trial):
-/// untraced (exercising the change-to-change jump loops) and traced
-/// (exercising the replay window path) — all three bit-identical.
+/// Live vs realization-fed runs for one (scenario, family, heuristic,
+/// trial): untraced (the comm-phase bulk runs) and traced (per-slot comm
+/// steps, full trace rows) — all three bit-identical.
 void expect_replay_identical(const platform::Scenario& scenario,
                              const sched::Estimator& estimator,
                              Realization& realization, const std::string& family,
@@ -309,10 +297,10 @@ void expect_replay_identical(const platform::Scenario& scenario,
   sim::ActivityTrace live_trace;
   sim::ActivityTrace replay_trace;
   const auto live = run(false, true, &live_trace);
-  const auto replay_jump = run(true, false, nullptr);
-  const auto replay_window = run(true, true, &replay_trace);
-  expect_identical_results(live, replay_jump);
-  expect_identical_results(live, replay_window);
+  const auto replay = run(true, false, nullptr);
+  const auto replay_traced = run(true, true, &replay_trace);
+  expect_identical_results(live, replay);
+  expect_identical_results(live, replay_traced);
   expect_identical_traces(live_trace, replay_trace);
 }
 
@@ -335,45 +323,54 @@ TEST(Replay, BitIdenticalForEveryHeuristicAndFamily) {
 
 TEST(Replay, FrozenRealizationContinuesLiveBitIdentically) {
   // Session freezes a unit's realization when its LAST heuristic starts:
-  // the engine replays the materialized prefix, then switches to live
-  // continuation on the embedded source. The stream is one unbroken
-  // sequence, so results and traces must not move — whether the frontier
-  // sits mid-run or at zero (single-heuristic degenerate case).
+  // the engine's view expands the materialized prefix, then continues live
+  // on the embedded source. The stream is one unbroken sequence, so results
+  // and traces must not move — whether the frontier sits at zero
+  // (single-heuristic degenerate case) or mid-run, and whether it falls on
+  // an engine block boundary or inside a block (the frontier is a multiple
+  // of the 512-slot materialization chunk).
   const auto scenario = test_scenario();
   const sched::Estimator estimator(scenario.platform, scenario.app, 1e-6);
   api::Options options;
   options.slot_cap = 50'000;
-  for (const auto& family : families()) {
-    for (const long prefix : {0L, 64L}) {
-      SCOPED_TRACE(family + " prefix " + std::to_string(prefix));
-      for (const char* heuristic : {"IE", "RANDOM", "Y-IE", "IY"}) {
-        SCOPED_TRACE(heuristic);
-        const std::uint64_t avail_seed = util::derive_seed(scenario.params.seed, 1000);
-        const std::uint64_t sched_seed = util::derive_seed(scenario.params.seed, 2000);
+  long crossed = 0;  // frozen runs that read past a non-zero frontier
+  for (const long avail_block : {1L, 7L, 64L, 1000L}) {
+    options.avail_block = avail_block;
+    for (const auto& family : families()) {
+      for (const long prefix : {0L, 64L}) {
+        SCOPED_TRACE(family + " prefix " + std::to_string(prefix) + " avail_block " +
+                     std::to_string(avail_block));
+        for (const char* heuristic : {"IE", "RANDOM", "Y-IE", "IY"}) {
+          SCOPED_TRACE(heuristic);
+          const std::uint64_t avail_seed = util::derive_seed(scenario.params.seed, 1000);
+          const std::uint64_t sched_seed = util::derive_seed(scenario.params.seed, 2000);
 
-        auto live_sched = sched::make_scheduler(heuristic, estimator, sched_seed);
-        auto live_src = make_source(family, scenario.platform, avail_seed);
-        sim::Engine live_engine(scenario.platform, scenario.app, *live_src,
-                                *live_sched, options.engine(true));
-        const auto live = live_engine.run();
+          auto live_sched = sched::make_scheduler(heuristic, estimator, sched_seed);
+          auto live_src = make_source(family, scenario.platform, avail_seed);
+          sim::Engine live_engine(scenario.platform, scenario.app, *live_src,
+                                  *live_sched, options.engine(true));
+          const auto live = live_engine.run();
 
-        Realization real(make_source(family, scenario.platform, avail_seed));
-        if (prefix > 0) real.ensure(prefix);
-        real.freeze();
-        auto frozen_sched = sched::make_scheduler(heuristic, estimator, sched_seed);
-        sim::Engine frozen_engine(scenario.platform, scenario.app, real,
-                                  *frozen_sched, options.engine(true));
-        const auto frozen = frozen_engine.run();
+          Realization real(make_source(family, scenario.platform, avail_seed));
+          if (prefix > 0) real.ensure(prefix);
+          real.freeze();
+          auto frozen_sched = sched::make_scheduler(heuristic, estimator, sched_seed);
+          sim::Engine frozen_engine(scenario.platform, scenario.app, real,
+                                    *frozen_sched, options.engine(true));
+          const auto frozen = frozen_engine.run();
+          if (prefix > 0 && real.source().position() > real.frontier()) ++crossed;
 
-        expect_identical_results(live, frozen);
-        expect_identical_traces(live_engine.trace(), frozen_engine.trace());
+          expect_identical_results(live, frozen);
+          expect_identical_traces(live_engine.trace(), frozen_engine.trace());
+        }
       }
     }
   }
+  EXPECT_GT(crossed, 0);
 }
 
 TEST(Replay, BitIdenticalOnPerSlotEngineLoop) {
-  // fast_forward = false replays through the plain window path only.
+  // fast_forward = false: the per-slot loop reads the realization too.
   const auto scenario = test_scenario(77, 5, 3);
   const sched::Estimator estimator(scenario.platform, scenario.app, 1e-6);
   for (const auto& family : families()) {
