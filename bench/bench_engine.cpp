@@ -6,10 +6,11 @@
 //  * --emit_json[=PATH]: the CI perf smoke — run the reduced sweep per
 //    heuristic with the event-horizon fast path ON and OFF (same binary,
 //    same seeds), verify the outcomes are identical, and write
-//    machine-readable slots/sec + speedups to BENCH_engine.json, with the
-//    fast-forward run's scheduler consults and how its configuration builds
-//    were answered (previous-build reuse, memo hit, fresh build). This seeds
-//    the perf trajectory: each CI run leaves a comparable artifact.
+//    machine-readable slots/sec (best of 3 interleaved passes per arm) +
+//    speedups to BENCH_engine.json, with the fast-forward run's scheduler
+//    consults and how its configuration builds were answered (previous-build
+//    reuse, memo hit, fresh build). This seeds the perf trajectory: each CI
+//    run leaves a comparable artifact.
 #include <benchmark/benchmark.h>
 
 #include <chrono>
@@ -199,13 +200,25 @@ int emit_json(const util::Cli& cli) {
       "IY", "RANDOM",                 // per-slot by contract (no skipping)
   };
 
+  // Each arm is timed as the best of kPasses interleaved passes: noise on a
+  // shared host only ever adds time, so the minimum is the steadiest
+  // estimate, and interleaving keeps a slow spell from landing on one arm.
+  constexpr int kPasses = 3;
   namespace json = util::json;
   json::Array rows;
   bool all_identical = true;
   for (const std::string& name : heuristics) {
-    const SweepTiming off = time_sweep(spec, name, false);
-    const SweepTiming on = time_sweep(spec, name, true);
-    const bool identical = on.digest == off.digest && on.slots == off.slots;
+    SweepTiming off;
+    SweepTiming on;
+    bool identical = true;
+    for (int pass = 0; pass < kPasses; ++pass) {
+      const SweepTiming pass_off = time_sweep(spec, name, false);
+      const SweepTiming pass_on = time_sweep(spec, name, true);
+      identical = identical && pass_on.digest == pass_off.digest &&
+                  pass_on.slots == pass_off.slots;
+      if (pass == 0 || pass_off.seconds < off.seconds) off = pass_off;
+      if (pass == 0 || pass_on.seconds < on.seconds) on = pass_on;
+    }
     all_identical = all_identical && identical;
     const double on_rate = static_cast<double>(on.slots) / on.seconds;
     const double off_rate = static_cast<double>(off.slots) / off.seconds;
@@ -241,6 +254,7 @@ int emit_json(const util::Cli& cli) {
                     {"scenarios_per_cell", spec.grid.scenarios_per_cell},
                     {"trials", spec.trials},
                     {"slot_cap", spec.options.slot_cap}}},
+      {"passes", kPasses},
       {"heuristics", std::move(rows)},
       {"avail_kernel", std::string(util::to_string(util::simd_kernel()))},
       {"all_identical", all_identical},

@@ -121,11 +121,10 @@ void print_counters_table(const json::Value& v) {
   std::printf("\n");
   if (const json::Value* coord = v.find("coordinator"); coord != nullptr) {
     std::printf(
-        "coordinator: shards %s (%s live)  leased %s  stolen %s  "
+        "coordinator: shards %s (%s live)  leased %s  "
         "re-dispatched %s  duplicate commits %s\n",
         uint_cell(*coord, "shards").c_str(), uint_cell(*coord, "live_shards").c_str(),
         uint_cell(*coord, "leased_units").c_str(),
-        uint_cell(*coord, "stolen_units").c_str(),
         uint_cell(*coord, "redispatched_units").c_str(),
         uint_cell(*coord, "duplicate_commits").c_str());
   }

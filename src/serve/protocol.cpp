@@ -97,26 +97,20 @@ std::string heartbeat_request() {
   return json::dump(json::Value(json::Object{{"op", "heartbeat"}}));
 }
 
-std::string lease_request(std::string_view job_ref, std::string_view tenant,
-                          const std::vector<std::size_t>& units,
+std::string lease_request(std::string_view tenant, const std::vector<std::size_t>& units,
                           std::string_view spec_json) {
   // Hand-assembled so the pre-dumped spec splices in without a reparse.
   std::string out;
   out.reserve(96 + spec_json.size() + units.size() * 8);
-  out += "{\"op\":\"lease\",\"job\":";
-  json::append_quoted(job_ref, out);
-  out += ",\"tenant\":";
+  out += "{\"op\":\"lease\",\"tenant\":";
   json::append_quoted(tenant, out);
   out += ",\"units\":[";
   for (std::size_t i = 0; i < units.size(); ++i) {
     if (i != 0) out += ',';
     out += std::to_string(units[i]);
   }
-  out += ']';
-  if (!spec_json.empty()) {
-    out += ",\"spec\":";
-    out += spec_json;
-  }
+  out += "],\"spec\":";
+  out += spec_json;
   out += '}';
   return out;
 }

@@ -26,19 +26,19 @@
 //   {"op":"heartbeat"}           -> {"ok":true,"type":"pong"}
 //      Liveness probe on the coordinator's per-shard monitor connection; a
 //      missed deadline expires every lease held by that shard.
-//   {"op":"lease","job":REF,"tenant":T,"units":[u...],"spec":{...}?}
+//   {"op":"lease","tenant":T,"units":[u...],"spec":{...}}
 //      Execute the listed (scenario, trial) units — api::unit_index ids
 //      against the spec — and stream, per completed unit,
 //        {"ok":true,"type":"unit","unit":u,"rows":H}
 //      followed by exactly H raw result-row lines (row_line bytes, NOT
 //      JSON-escaped — identical bytes to what a local worker would commit),
-//      then one terminal {"ok":true,"type":"lease_done","units":N}. REF is
-//      an opaque per-connection job reference: the spec rides along on the
-//      first lease of a REF on this connection and is cached for the rest;
-//      a lease for an unknown REF without a spec fails with "need_spec":
-//      true, telling the coordinator to resend with the spec attached. A
-//      unit that fails to execute yields {"ok":false,"type":"unit_failed",
-//      "unit":u,"error":...} and aborts the lease. The shard does NOT
+//      then one terminal {"ok":true,"type":"lease_done","units":N}. Every
+//      lease is self-contained: the spec is required ("spec: required"
+//      otherwise) and the shard keeps no per-connection state — resolving a
+//      spec takes microseconds against units that run for tens of
+//      milliseconds. A unit that fails to execute yields
+//      {"ok":false,"type":"unit_failed","unit":u,"error":...} and aborts
+//      the lease. The shard does NOT
 //      checkpoint lease units — durability lives in the coordinator's
 //      merged commit log; purity of rows makes re-execution after any
 //      failure byte-identical.
@@ -104,11 +104,11 @@ namespace tcgrid::serve {
 /// coordinator-side dynamic registration of the daemon at that address.
 [[nodiscard]] std::string register_request(std::string_view shard = {});
 [[nodiscard]] std::string heartbeat_request();
-/// `spec_json` is the canonical spec dump (api::spec_to_json) or empty to
-/// rely on the receiving connection's REF cache. Spliced verbatim — the
-/// coordinator dumps a job's spec once, not per lease.
-[[nodiscard]] std::string lease_request(std::string_view job_ref, std::string_view tenant,
+/// `spec_json` is the canonical spec dump (api::spec_to_json), required by
+/// the shard. Spliced verbatim — the coordinator dumps a job's spec once,
+/// not per lease.
+[[nodiscard]] std::string lease_request(std::string_view tenant,
                                         const std::vector<std::size_t>& units,
-                                        std::string_view spec_json = {});
+                                        std::string_view spec_json);
 
 }  // namespace tcgrid::serve

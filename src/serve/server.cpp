@@ -60,12 +60,9 @@ struct Server::Job : UnitPlan {
   std::size_t inflight = 0;
   std::size_t next_scan = 0;  ///< first possibly-pending unit (scan hint)
 
-  /// Live leases per unit — at most 2 (the original claim plus one steal).
-  /// A kInFlight unit stays in flight until its LAST lease resolves.
-  std::vector<std::uint8_t> lease_count;
-  /// Canonical spec JSON, attached to the first lease of this job sent on
-  /// each shard connection (see protocol.hpp lease op; null on a plain
-  /// daemon, whose leases never leave the process).
+  /// Canonical spec JSON, attached to every lease of this job sent to a
+  /// shard (see protocol.hpp lease op; null on a plain daemon, whose leases
+  /// never leave the process).
   std::shared_ptr<const std::string> spec_json;
 
   std::vector<std::string> rows;  ///< committed rows, completion order
@@ -219,7 +216,6 @@ std::string Server::register_job(const std::string& job_id, const std::string& t
   job->id = job_id;
   Tenant& tenant = resolve_plan(*job, tenant_name, std::move(spec));
   job->unit_state.assign(job->units_total, Job::kPending);
-  job->lease_count.assign(job->units_total, 0);
   job->ckpt = std::move(ckpt);
   if (options_.coordinator) {
     job->spec_json =
@@ -262,7 +258,7 @@ std::string Server::register_job(const std::string& job_id, const std::string& t
 
 Server::FleetState Server::fleet_state() const {
   // Every in-flight unit of a plain daemon is held by exactly one local
-  // worker (workers never steal, and nothing else claims), so the units in
+  // worker (one lease per unit, and nothing else claims), so the units in
   // flight across ALL jobs — a failed job's stragglers too — count the busy
   // workers. A coordinator's leases are held by shard slots instead.
   FleetState fs;
@@ -312,22 +308,19 @@ std::optional<Server::Lease> Server::claim_unit() {
 Server::Lease Server::claim_locked(const std::shared_ptr<Job>& job, Tenant& tenant,
                                    std::size_t unit) {
   job->unit_state[unit] = Job::kInFlight;
-  job->lease_count[unit] = 1;
   job->inflight += 1;
   tenant.inflight += 1;
   if (job->state == Job::State::Queued) job->state = Job::State::Running;
-  return make_lease(job, unit, /*stolen=*/false);
+  Lease lease;
+  lease.job = job;
+  lease.tenant = job->tenant;
+  lease.spec_json = job->spec_json;
+  lease.unit = unit;
+  return lease;
 }
 
 void Server::drop_lease_locked(Job& job, std::size_t unit) {
-  if (job.unit_state[unit] != Job::kInFlight) return;  // already committed
-  if (job.lease_count[unit] > 1) {
-    // The other lease of this unit is still live — it finishes or expires
-    // on its own; the unit stays in flight.
-    job.lease_count[unit] -= 1;
-    return;
-  }
-  job.lease_count[unit] = 0;
+  if (job.unit_state[unit] != Job::kInFlight) return;  // committed or returned
   job.unit_state[unit] = Job::kPending;  // dropped, not committed
   job.next_scan = std::min(job.next_scan, unit);
   job.inflight -= 1;
@@ -355,44 +348,12 @@ bool Server::evict_if_drained(Tenant& tenant) {
 
 // -------------------------------------------------- unit dispatch surface ----
 
-Server::Lease Server::make_lease(const std::shared_ptr<Job>& job, std::size_t unit,
-                                 bool stolen) {
-  Lease lease;
-  lease.job = job;
-  lease.job_id = job->id;
-  lease.tenant = job->tenant;
-  lease.spec_json = job->spec_json;
-  lease.unit = unit;
-  lease.stolen = stolen;
-  return lease;
-}
-
-std::optional<Server::Lease> Server::steal_locked() {
-  // Tail stealing: duplicate-claim an in-flight unit carrying exactly one
-  // live lease. Same round-robin fairness as claim_unit; the lease cap of 2
-  // bounds duplicated work to one extra execution per straggler.
-  const std::size_t n = job_order_.size();
-  for (std::size_t step = 0; step < n; ++step) {
-    const std::size_t idx = (rr_cursor_ + step) % n;
-    const std::shared_ptr<Job>& job = jobs_[job_order_[idx]];
-    if (job->terminal() || job->cancel_requested) continue;
-    for (std::size_t u = 0; u < job->units_total; ++u) {
-      if (job->unit_state[u] == Job::kInFlight && job->lease_count[u] == 1) {
-        job->lease_count[u] = 2;
-        return make_lease(job, u, /*stolen=*/true);
-      }
-    }
-  }
-  return std::nullopt;
-}
-
-std::optional<Server::Lease> Server::claim_for_dispatch(bool allow_steal) {
+std::optional<Server::Lease> Server::claim_for_dispatch() {
   std::unique_lock<std::mutex> lock(mu_);
   std::optional<Lease> lease;
   work_cv_.wait(lock, [&] {
     if (stopping_) return true;
     lease = claim_unit();
-    if (!lease.has_value() && allow_steal) lease = steal_locked();
     return lease.has_value();
   });
   if (!lease.has_value()) return std::nullopt;  // woken by stop
@@ -467,11 +428,11 @@ Server::Commit Server::commit_unit(const Lease& lease, std::vector<std::string> 
       // kill -9 semantics (nothing new becomes durable after it returns —
       // every lease holder is joined before hard_stop returns).
       if (stopping_) return Commit::Stopped;
-      if (job->unit_state[lease.unit] == Job::kDone) {
-        // A racing lease of this unit won. kDone is authoritative here: the
-        // winner set it before releasing io_mutex, so holding io_mutex and
-        // NOT seeing kDone means no other commit of the unit can exist. The
-        // dropped rows are byte-identical to the committed ones by purity.
+      if (job->unit_state[lease.unit] != Job::kInFlight) {
+        // A stale lease: its unit was returned to pending, or a re-claim
+        // already committed it (kDone is set before io_mutex is released).
+        // The in-flight counts moved on without this lease, so it writes
+        // nothing; by purity its rows equal the ones the unit commits.
         return Commit::Duplicate;
       }
     }
@@ -492,7 +453,6 @@ Server::Commit Server::commit_unit(const Lease& lease, std::vector<std::string> 
     Tenant* tenant = tenants_[job->tenant].get();
     job->inflight -= 1;
     job->unit_state[lease.unit] = Job::kDone;
-    job->lease_count[lease.unit] = 0;
     job->units_done += 1;
     unit_done_locked(*tenant, rows.size());
     const std::uint64_t now_us = obs::steady_now_us();
@@ -515,7 +475,6 @@ Server::Commit Server::commit_unit(const Lease& lease, std::vector<std::string> 
         "serve_unit", {{"job", job->id},
                        {"tenant", job->tenant},
                        {"unit", static_cast<unsigned long long>(lease.unit)},
-                       {"stolen", lease.stolen},
                        {"us", static_cast<unsigned long long>(service_us)}});
   }
   return Commit::Committed;
@@ -556,10 +515,9 @@ void Server::finalize_if_drained(Job& job) {
 }
 
 void Server::worker_loop() {
-  // A local worker is an in-process lease holder: it claims (never steals,
-  // so every unit it holds is its alone), runs the unit itself and commits
-  // through the same call a shard slot uses.
-  while (std::optional<Lease> lease = claim_for_dispatch(/*allow_steal=*/false)) {
+  // A local worker is an in-process lease holder: it claims a unit, runs it
+  // itself and commits through the same call a shard slot uses.
+  while (std::optional<Lease> lease = claim_for_dispatch()) {
     const std::uint64_t claimed_us = obs::enabled() ? obs::steady_now_us() : 0;
     Tenant& tenant = [&]() -> Tenant& {
       std::lock_guard<std::mutex> lock(mu_);
@@ -782,17 +740,21 @@ std::string Server::handle_counters() {
     // Lock order: ShardFleet never calls back into the server while holding
     // its own mutex, so mu_ -> fleet mu_ here cannot invert anywhere.
     const ShardFleet::Counters c = shard_fleet_->counters();
+    json::Object inflight_leases;
+    for (const auto& [address, n] : c.inflight_leases) {
+      inflight_leases.emplace_back(address, static_cast<unsigned long long>(n));
+    }
     response.emplace_back(
         "coordinator",
         json::Object{
             {"shards", static_cast<unsigned long long>(c.shards)},
             {"live_shards", static_cast<unsigned long long>(c.live_shards)},
             {"leased_units", static_cast<unsigned long long>(c.leased_units)},
-            {"stolen_units", static_cast<unsigned long long>(c.stolen_units)},
             {"redispatched_units",
              static_cast<unsigned long long>(c.redispatched_units)},
             {"duplicate_commits",
              static_cast<unsigned long long>(c.duplicate_commits)},
+            {"inflight_leases", std::move(inflight_leases)},
         });
   }
   return json::dump(std::move(response));
@@ -932,14 +894,7 @@ std::string Server::handle_register(const json::Value& req) {
   });
 }
 
-void Server::handle_lease(const json::Value& req, util::LineChannel& ch,
-                          LeaseCache& cache) {
-  const json::Value* job_v = req.find("job");
-  if (job_v == nullptr || !job_v->is_string() || job_v->as_string().empty()) {
-    ch.write_line(error_line("job: required (opaque lease reference)"));
-    return;
-  }
-  const std::string ref = job_v->as_string();
+void Server::handle_lease(const json::Value& req, util::LineChannel& ch) {
   const json::Value* tenant_v = req.find("tenant");
   if (tenant_v == nullptr || !tenant_v->is_string() ||
       !valid_identifier(tenant_v->as_string())) {
@@ -952,53 +907,41 @@ void Server::handle_lease(const json::Value& req, util::LineChannel& ch,
     return;
   }
 
-  // Lease units are NOT checkpointed here: durability lives in the
-  // coordinator's merge log, so the plan carries no Job bookkeeping.
-  std::shared_ptr<const UnitPlan> plan;
-  if (const auto it = cache.find(ref); it != cache.end()) plan = it->second;
-  if (plan == nullptr) {
-    const json::Value* spec_v = req.find("spec");
-    if (spec_v == nullptr) {
-      // Machine-readable cue: the coordinator resends with the spec
-      // attached instead of string-matching the error.
-      ch.write_line(json::dump(json::Object{
-          {"ok", false},
-          {"error", "spec: required for unknown lease reference '" + ref + "'"},
-          {"need_spec", true}}));
-      return;
-    }
-    api::ExperimentSpec spec;
-    try {
-      spec = api::spec_from_json(*spec_v);
-      spec.validate();
-    } catch (const std::invalid_argument& e) {
-      ch.write_line(error_line(e.what()));
-      return;
-    }
-    if (std::string gate = spec_gate_error(spec); !gate.empty()) {
-      ch.write_line(error_line(gate));
-      return;
-    }
-    auto fresh = std::make_shared<UnitPlan>();
-    resolve_plan(*fresh, tenant_v->as_string(), std::move(spec));
-    plan = cache.emplace(ref, std::move(fresh)).first->second;
+  // Every lease carries its spec: resolving it costs microseconds against
+  // units that run for tens of milliseconds, and a self-contained request
+  // leaves the connection stateless. Lease units are NOT checkpointed here:
+  // durability lives in the coordinator's merge log, so the plan carries no
+  // Job bookkeeping.
+  const json::Value* spec_v = req.find("spec");
+  if (spec_v == nullptr) {
+    ch.write_line(error_line("spec: required"));
+    return;
   }
+  api::ExperimentSpec spec;
+  try {
+    spec = api::spec_from_json(*spec_v);
+    spec.validate();
+  } catch (const std::invalid_argument& e) {
+    ch.write_line(error_line(e.what()));
+    return;
+  }
+  if (std::string gate = spec_gate_error(spec); !gate.empty()) {
+    ch.write_line(error_line(gate));
+    return;
+  }
+  UnitPlan plan;
+  Tenant& tenant = resolve_plan(plan, tenant_v->as_string(), std::move(spec));
 
   std::vector<std::size_t> units;
   units.reserve(units_v->as_array().size());
   for (const json::Value& u : units_v->as_array()) {
-    if (!u.is_integer() || u.as_uint() >= plan->units_total) {
+    if (!u.is_integer() || u.as_uint() >= plan.units_total) {
       ch.write_line(error_line("units: unit id out of range for the lease spec"));
       return;
     }
     units.push_back(static_cast<std::size_t>(u.as_uint()));
   }
 
-  Tenant* tenant = nullptr;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    tenant = &tenant_for(tenant_v->as_string());
-  }
   // Execute on THIS handler thread: the coordinator opens one connection
   // per lease slot, so a shard's parallelism equals the slot count and the
   // per-thread estimator caches stay warm per slot (DESIGN.md §15).
@@ -1008,23 +951,23 @@ void Server::handle_lease(const json::Value& req, util::LineChannel& ch,
       // Quota DRAINING gate, same boundary as claim_unit: clear_caches is
       // safe only with nothing of this tenant running, and tenant.inflight
       // counts lease units too.
-      work_cv_.wait(lock, [&] { return stopping_ || evict_if_drained(*tenant); });
+      work_cv_.wait(lock, [&] { return stopping_ || evict_if_drained(tenant); });
       if (stopping_) return;
-      tenant->inflight += 1;
+      tenant.inflight += 1;
     }
     std::vector<std::string> rows;
     bool failed = false;
     std::string error;
     try {
-      rows = execute_unit(*tenant, *plan, unit);
+      rows = execute_unit(tenant, plan, unit);
     } catch (const std::exception& e) {
       failed = true;
       error = e.what();
     }
     {
       std::lock_guard<std::mutex> lock(mu_);
-      if (failed) tenant->inflight -= 1;
-      else unit_done_locked(*tenant, rows.size());
+      if (failed) tenant.inflight -= 1;
+      else unit_done_locked(tenant, rows.size());
       work_cv_.notify_all();
     }
     if (failed) {
@@ -1053,7 +996,6 @@ void Server::handle_lease(const json::Value& req, util::LineChannel& ch,
 
 void Server::serve_connection(int fd) {
   util::LineChannel ch(fd);
-  LeaseCache lease_cache;
   std::string line;
   while (ch.read_line(line)) {
     {
@@ -1079,7 +1021,7 @@ void Server::serve_connection(int fd) {
       continue;
     }
     if (name == "lease") {
-      handle_lease(req, ch, lease_cache);
+      handle_lease(req, ch);
       continue;
     }
     std::string response;

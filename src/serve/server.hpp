@@ -75,8 +75,7 @@ struct TenantQuota {
 /// worker thread it advertises at registration; a slot holds leases exactly
 /// as a local worker thread does, except that it ships each claimed unit to
 /// its shard instead of running it. A slot's batch is one fresh unit plus
-/// the remaining pending trials of its scenario (Server::try_claim_sibling),
-/// and an idle slot steals an in-flight unit when nothing is pending.
+/// the remaining pending trials of its scenario (Server::try_claim_sibling).
 struct ShardOptions {
   /// Shard daemon addresses: a unix socket path, "unix:PATH" or
   /// "tcp:HOST:PORT". More shards can join at runtime via the `register`
@@ -150,28 +149,26 @@ class Server {
   // ------------------------------------------------- unit dispatch surface ----
   // Used by the local worker threads, by ShardFleet's slot threads, and
   // driven directly by the shard tests. A Lease is one claimed unit: the
-  // claim ticket whose completion — rows from ANY holder of a lease on the
-  // unit — commits through commit_unit. Job is opaque outside this class;
-  // the handle only keeps the job alive and identifies it on re-entry.
+  // claim ticket whose completion commits through commit_unit. An in-flight
+  // unit has exactly one live lease; a returned (expired) or failed lease is
+  // stale, and its commit is refused while its unit is pending or done. Job
+  // is opaque outside this class; the handle only keeps the job alive and
+  // identifies it on re-entry.
 
   struct Lease {
     std::shared_ptr<Job> job;  ///< opaque; pass back unchanged
-    std::string job_id;
     std::string tenant;
     /// Canonical spec JSON (api::spec_to_json dump) that a shard slot
-    /// attaches to the first lease of this job on a shard connection.
+    /// attaches to every lease request (null on a plain daemon).
     std::shared_ptr<const std::string> spec_json;
     std::size_t unit = 0;
-    bool stolen = false;  ///< duplicate-dispatch of an in-flight unit
   };
 
   /// Block until a unit is dispatchable (round-robin fair across jobs) or
-  /// the server stops (nullopt). When nothing is pending and `allow_steal`,
-  /// duplicate-claims an in-flight unit with a single live lease instead of
-  /// waiting — tail stealing. Local workers never steal.
-  [[nodiscard]] std::optional<Lease> claim_for_dispatch(bool allow_steal);
+  /// the server stops (nullopt).
+  [[nodiscard]] std::optional<Lease> claim_for_dispatch();
   /// Non-blocking claim of a pending unit from the SAME job and scenario as
-  /// a lease this caller already holds (never steals). Scenario-affine
+  /// a lease this caller already holds. Scenario-affine
   /// dispatch: a scenario's estimator is cached per serving thread and is
   /// the dominant cost of a unit (api::Session), so splitting one
   /// scenario's trials across shards re-pays that build on every shard.
@@ -181,19 +178,22 @@ class Server {
 
   enum class Commit {
     Committed,  ///< rows durably committed and published
-    Duplicate,  ///< another lease of the unit won; rows dropped (byte-equal
+    Duplicate,  ///< stale lease: the unit was returned (and perhaps re-run
+                ///< and committed) since this claim; rows dropped (byte-equal
                 ///< by purity, so nothing is lost)
     Stopped,    ///< server stopping; nothing written (kill -9 contract)
     Failed,     ///< checkpoint write failed; job failed
   };
   /// Durably commit one completed lease: append `rows` to the job's
   /// checkpoint and publish them to `results` readers, exactly once per
-  /// unit no matter how many leases of it complete. `claimed_us` (steady
-  /// clock at claim, 0 = no obs) feeds the tenant unit-service histogram.
+  /// unit. Only a unit still in flight commits; any other state means this
+  /// lease went stale (its unit was returned, or committed by a re-claim)
+  /// and the commit is refused as Duplicate. `claimed_us` (steady clock at claim,
+  /// 0 = no obs) feeds the tenant unit-service histogram.
   Commit commit_unit(const Lease& lease, std::vector<std::string> rows,
                      std::uint64_t claimed_us);
   /// Lease expiry (shard death, transport error): re-queue the unit unless
-  /// another live lease still covers it or it already committed.
+  /// it already committed.
   void return_lease(const Lease& lease);
   /// Unit execution failure (a local run's exception, a shard's
   /// unit_failed, a rejected lease): drop the lease and fail the job.
@@ -218,7 +218,7 @@ class Server {
 
  private:
   /// A spec resolved for execution: everything running any unit of it
-  /// needs. Jobs extend it; the lease path caches it per connection.
+  /// needs. Jobs extend it; the lease path resolves one per request.
   struct UnitPlan;
 
   void load_existing_jobs();
@@ -241,17 +241,13 @@ class Server {
   /// Caller holds mu_. The claim transition of a pending unit: in flight
   /// under one fresh lease.
   Lease claim_locked(const std::shared_ptr<Job>& job, Tenant& tenant, std::size_t unit);
-  /// Caller holds mu_. Drop one lease of an in-flight unit; the last one
-  /// re-queues it. No-op on a committed unit.
+  /// Caller holds mu_. Drop the lease of an in-flight unit, re-queueing
+  /// it. No-op on a unit that is not in flight.
   void drop_lease_locked(Job& job, std::size_t unit);
   /// Caller holds mu_. Perform the DRAINING eviction if the tenant is
   /// draining and idle; returns true when dispatch of this tenant's units
   /// may proceed (i.e. the tenant is no longer draining).
   bool evict_if_drained(Tenant& tenant);
-  /// Steal candidate under mu_: an in-flight unit with exactly one live
-  /// lease, round-robin fair across jobs. nullopt when nothing qualifies.
-  std::optional<Lease> steal_locked();
-  Lease make_lease(const std::shared_ptr<Job>& job, std::size_t unit, bool stolen);
   void finalize_if_drained(Job& job);
 
   // Request handlers (see protocol.hpp). Each returns the response line;
@@ -263,13 +259,7 @@ class Server {
   std::string handle_metrics(const util::json::Value& req);
   std::string handle_register(const util::json::Value& req);
   void handle_results(const util::json::Value& req, util::LineChannel& ch);
-
-  /// Per-connection lease state: resolved specs keyed by the peer's job
-  /// ref, so one spec transfer covers every later lease of the job on this
-  /// connection.
-  using LeaseCache = std::map<std::string, std::shared_ptr<const UnitPlan>>;
-  void handle_lease(const util::json::Value& req, util::LineChannel& ch,
-                    LeaseCache& cache);
+  void handle_lease(const util::json::Value& req, util::LineChannel& ch);
 
   /// Empty when `spec` passes the session-level gates (eps, record_trace);
   /// otherwise the error message.

@@ -53,7 +53,6 @@ ShardFleet::ShardFleet(Server& server, const ShardOptions& options)
   obs::Registry& reg = obs::Registry::instance();
   live_shards_gauge_ = reg.gauge("tcgrid_coord_live_shards");
   leased_total_ = reg.counter("tcgrid_coord_leased_units_total");
-  stolen_total_ = reg.counter("tcgrid_coord_stolen_units_total");
   redispatched_total_ = reg.counter("tcgrid_coord_redispatched_units_total");
   duplicate_total_ = reg.counter("tcgrid_coord_duplicate_commits_total");
 }
@@ -108,7 +107,6 @@ ShardFleet::Counters ShardFleet::counters() const {
     c.inflight_leases[shard->address] = shard->inflight;
   }
   c.leased_units = leased_;
-  c.stolen_units = stolen_;
   c.redispatched_units = redispatched_;
   c.duplicate_commits = duplicates_;
   return c;
@@ -250,21 +248,19 @@ void ShardFleet::slot_loop(Shard& shard) {
     track_fd(shard, fd.get(), true);
     {
       util::LineChannel ch(fd.get());
-      std::vector<std::string> sent_specs;
       while (!stopping_.load() && shard.live.load()) {
-        if (!lease_round(shard, ch, sent_specs)) break;
+        if (!lease_round(shard, ch)) break;
       }
     }
     track_fd(shard, fd.get(), false);
   }
 }
 
-bool ShardFleet::lease_round(Shard& shard, util::LineChannel& ch,
-                             std::vector<std::string>& sent_specs) {
+bool ShardFleet::lease_round(Shard& shard, util::LineChannel& ch) {
   // Pull: claim the next unit the moment this slot idles. Blocking on the
-  // claim IS the work-stealing scheduler — a fast shard returns here more
-  // often and naturally takes more of the queue.
-  std::optional<Server::Lease> first = server_.claim_for_dispatch(/*allow_steal=*/true);
+  // claim IS the scheduler — a fast shard returns here more often and
+  // naturally takes more of the queue.
+  std::optional<Server::Lease> first = server_.claim_for_dispatch();
   if (!first.has_value()) return false;  // server stopping
   std::vector<Server::Lease> batch;
   batch.push_back(std::move(*first));
@@ -283,14 +279,8 @@ bool ShardFleet::lease_round(Shard& shard, util::LineChannel& ch,
     std::lock_guard<std::mutex> lock(mu_);
     leased_ += batch.size();
     shard.inflight += batch.size();
-    for (const Server::Lease& lease : batch) {
-      if (lease.stolen) stolen_ += 1;
-    }
   }
   leased_total_.inc(batch.size());
-  for (const Server::Lease& lease : batch) {
-    if (lease.stolen) stolen_total_.inc();
-  }
 
   std::vector<bool> resolved(batch.size(), false);
   // Each lease leaves the shard's in-flight count once: at its commit or
@@ -321,144 +311,105 @@ bool ShardFleet::lease_round(Shard& shard, util::LineChannel& ch,
   };
 
   // One lease request covers the batch: a claim plus its siblings, all of
-  // one job.
+  // one job. It carries the job's spec, so the shard keeps no state between
+  // requests.
   const Server::Lease& head = batch.front();
-  const std::string& job_id = head.job_id;
   std::vector<std::size_t> units;
   units.reserve(batch.size());
   for (const Server::Lease& lease : batch) units.push_back(lease.unit);
 
   const std::uint64_t claimed_us = obs::enabled() ? obs::steady_now_us() : 0;
+  if (!ch.write_line(lease_request(head.tenant, units, *head.spec_json))) {
+    expire_unresolved();
+    return false;
+  }
+  // Index of the unresolved lease on `unit`, or batch.size() when none.
+  auto held = [&](std::size_t unit) {
+    for (std::size_t i = 0; i < batch.size(); ++i) {
+      if (!resolved[i] && batch[i].unit == unit) return i;
+    }
+    return batch.size();
+  };
   std::string line;
-  bool with_spec =
-      std::find(sent_specs.begin(), sent_specs.end(), job_id) == sent_specs.end();
-  for (int attempt = 0; attempt < 2; ++attempt) {
-    const std::string spec =
-        with_spec && head.spec_json != nullptr ? *head.spec_json : std::string();
-    if (!ch.write_line(lease_request(job_id, head.tenant, units, spec))) {
+  while (true) {
+    if (!ch.read_line(line)) {
       expire_unresolved();
       return false;
     }
-    if (with_spec) sent_specs.push_back(job_id);
-
-    bool resend_with_spec = false;
-    bool done = false;
-    while (!done) {
-      if (!ch.read_line(line)) {
+    json::Value msg;
+    try {
+      msg = json::parse(line);
+      if (!msg.is_object()) throw std::invalid_argument("not an object");
+    } catch (const std::invalid_argument&) {
+      expire_unresolved();
+      return false;  // framing broken; reconnect
+    }
+    const json::Value* type = msg.find("type");
+    const std::string kind = type != nullptr && type->is_string() ? type->as_string() : "";
+    if (kind == "lease_done") break;
+    if (kind == "unit") {
+      const json::Value* unit_v = msg.find("unit");
+      const json::Value* rows_v = msg.find("rows");
+      if (unit_v == nullptr || !unit_v->is_integer() || rows_v == nullptr ||
+          !rows_v->is_integer()) {
         expire_unresolved();
         return false;
       }
-      json::Value msg;
-      try {
-        msg = json::parse(line);
-        if (!msg.is_object()) throw std::invalid_argument("not an object");
-      } catch (const std::invalid_argument&) {
-        expire_unresolved();
-        return false;  // framing broken; reconnect
-      }
-      const json::Value* type = msg.find("type");
-      const std::string kind =
-          type != nullptr && type->is_string() ? type->as_string() : "";
-      if (kind == "unit") {
-        const json::Value* unit_v = msg.find("unit");
-        const json::Value* rows_v = msg.find("rows");
-        if (unit_v == nullptr || !unit_v->is_integer() || rows_v == nullptr ||
-            !rows_v->is_integer()) {
+      const std::size_t unit = static_cast<std::size_t>(unit_v->as_uint());
+      std::vector<std::string> rows;
+      rows.reserve(static_cast<std::size_t>(rows_v->as_uint()));
+      for (std::size_t r = 0; r < rows_v->as_uint(); ++r) {
+        std::string row;
+        if (!ch.read_line(row)) {
           expire_unresolved();
           return false;
         }
-        const std::size_t unit = static_cast<std::size_t>(unit_v->as_uint());
-        std::vector<std::string> rows;
-        rows.reserve(static_cast<std::size_t>(rows_v->as_uint()));
-        for (std::size_t r = 0; r < rows_v->as_uint(); ++r) {
-          std::string row;
-          if (!ch.read_line(row)) {
-            expire_unresolved();
-            return false;
-          }
-          rows.push_back(std::move(row));
-        }
-        std::size_t idx = batch.size();
-        for (std::size_t i = 0; i < batch.size(); ++i) {
-          if (!resolved[i] && batch[i].unit == unit) {
-            idx = i;
-            break;
-          }
-        }
-        if (idx == batch.size()) continue;  // unit we no longer hold; drop
-        const Server::Commit rc =
-            server_.commit_unit(batch[idx], std::move(rows), claimed_us);
-        resolve(idx);
-        if (rc == Server::Commit::Duplicate) {
+        rows.push_back(std::move(row));
+      }
+      const std::size_t idx = held(unit);
+      if (idx == batch.size()) continue;  // unit we no longer hold; drop
+      const Server::Commit rc = server_.commit_unit(batch[idx], std::move(rows), claimed_us);
+      resolve(idx);
+      if (rc == Server::Commit::Duplicate) {
+        {
           std::lock_guard<std::mutex> lock(mu_);
           duplicates_ += 1;
         }
-        if (rc == Server::Commit::Duplicate) duplicate_total_.inc();
-        if (rc == Server::Commit::Stopped) {
-          expire_unresolved();
-          return false;
-        }
-        if (claimed_us != 0) {
-          shard.service_us.observe(obs::steady_now_us() - claimed_us);
-        }
-      } else if (kind == "lease_done") {
-        done = true;
-      } else if (kind == "unit_failed") {
-        const json::Value* unit_v = msg.find("unit");
-        const json::Value* err_v = msg.find("error");
-        const std::size_t unit =
-            unit_v != nullptr && unit_v->is_integer()
-                ? static_cast<std::size_t>(unit_v->as_uint())
-                : head.unit;
-        const std::string error = err_v != nullptr && err_v->is_string()
-                                      ? err_v->as_string()
-                                      : "unit failed on shard " + shard.address;
-        for (std::size_t i = 0; i < batch.size(); ++i) {
-          if (!resolved[i] && batch[i].unit == unit) {
-            server_.fail_lease(batch[i], error);
-            resolve(i);
-            break;
-          }
-        }
-        // The shard aborts the lease after a failed unit; the rest of the
-        // batch re-queues (the job is failed, so they just sit pending).
-        for (std::size_t i = 0; i < batch.size(); ++i) {
-          if (!resolved[i]) {
-            server_.return_lease(batch[i]);
-            resolve(i);
-          }
-        }
-        done = true;
-      } else {
-        // Generic {"ok":false,...} error.
-        const json::Value* need_spec = msg.find("need_spec");
-        if (need_spec != nullptr && need_spec->is_bool() && need_spec->as_bool() &&
-            !with_spec) {
-          // New shard connection since we last sent the spec (or a shard
-          // restart): resend the lease with the spec attached.
-          with_spec = true;
-          resend_with_spec = true;
-          done = true;
-        } else {
-          const json::Value* err_v = msg.find("error");
-          const std::string error = err_v != nullptr && err_v->is_string()
-                                        ? err_v->as_string()
-                                        : "lease rejected by shard " + shard.address;
-          // A rejected lease is a contract violation (bad spec for this
-          // shard, e.g. eps mismatch): re-running elsewhere would loop,
-          // so fail the job loudly.
-          server_.fail_lease(head, error);
-          for (std::size_t i = 0; i < batch.size(); ++i) {
-            if (!resolved[i]) {
-              server_.return_lease(batch[i]);
-              resolve(i);
-            }
-          }
-          done = true;
-        }
+        duplicate_total_.inc();
       }
+      if (rc == Server::Commit::Stopped) {
+        expire_unresolved();
+        return false;
+      }
+      if (claimed_us != 0) shard.service_us.observe(obs::steady_now_us() - claimed_us);
+      continue;
     }
-    if (!resend_with_spec) break;
+    // A failed unit, or a rejected lease ({"ok":false,...}: a contract
+    // violation such as an eps mismatch, which would loop if re-run
+    // elsewhere), fails the job loudly. The shard aborts the lease there;
+    // the rest of the batch re-queues (the job is failed, so those units
+    // just sit pending).
+    const json::Value* err_v = msg.find("error");
+    std::string error = err_v != nullptr && err_v->is_string() ? err_v->as_string() : "";
+    std::size_t failed = batch.size();
+    if (kind == "unit_failed") {
+      const json::Value* unit_v = msg.find("unit");
+      if (unit_v != nullptr && unit_v->is_integer()) {
+        failed = held(static_cast<std::size_t>(unit_v->as_uint()));
+      }
+      if (error.empty()) error = "unit failed on shard " + shard.address;
+    } else if (error.empty()) {
+      error = "lease rejected by shard " + shard.address;
+    }
+    if (failed == batch.size()) failed = 0;  // charge the head lease
+    server_.fail_lease(batch[failed], error);
+    if (!resolved[failed]) resolve(failed);
+    for (std::size_t i = 0; i < batch.size(); ++i) {
+      if (resolved[i]) continue;
+      server_.return_lease(batch[i]);
+      resolve(i);
+    }
+    break;
   }
   // Anything still unresolved (shouldn't happen on clean lease_done paths)
   // goes back to the queue rather than leaking an in-flight unit.

@@ -5,23 +5,24 @@
 // the shard advertises — each owning one connection to the shard — plus one
 // MONITOR thread probing liveness over a separate connection. A slot is a
 // lease holder just like a plain daemon's local worker; it only runs the
-// unit remotely. Its loop is pull-based work stealing in its purest form:
+// unit remotely. Its loop is pull-based dispatch:
 //
 //   claim a unit from the coordinator's queue (blocking; round-robin fair
 //   across jobs, exactly the local workers' policy) -> lease it to the
-//   shard -> stream the unit's result rows back -> Server::commit_unit.
+//   shard, spec attached -> stream the unit's result rows back ->
+//   Server::commit_unit.
 //
 // Nothing is partitioned up front: a fast shard simply claims more often,
-// so slot-cap-bound straggler units never serialize the tail. When the
-// queue is empty an idle slot STEALS — duplicate-leases an in-flight unit
-// held by exactly one other lease; rows are pure functions of (spec, unit),
-// so whichever lease finishes first commits and the loser's bytes are
-// dropped unread (Server::Commit::Duplicate).
+// so slot-cap-bound straggler units never serialize the tail. An in-flight
+// unit has exactly one live lease; there is no duplicate dispatch.
 //
 // Failure model: a dead connection (shard crash, kill -9, network cut) or
 // a missed heartbeat deadline expires every lease the slot held —
 // Server::return_lease re-queues the units and another shard re-runs them,
-// idempotently by row purity. The monitor exists for HUNG shards: a
+// idempotently by row purity (rows are pure functions of (spec, unit)). A
+// commit from an expired lease is refused (Server::Commit::Duplicate), so
+// a nonzero duplicate_commits count flags a protocol fault, not routine
+// work. The monitor exists for HUNG shards: a
 // SIGSTOP'd or wedged daemon keeps its sockets open, so the monitor's
 // missed pong shuts the slot connections down from our side to force the
 // expiry. Shards can join at runtime (the `register` verb with a "shard"
@@ -72,9 +73,8 @@ class ShardFleet {
     std::size_t shards = 0;        ///< registered (configured + runtime)
     std::size_t live_shards = 0;   ///< currently registered and heartbeating
     std::size_t leased_units = 0;  ///< claims dispatched (incl. re-dispatch)
-    std::size_t stolen_units = 0;  ///< duplicate-dispatched in-flight units
     std::size_t redispatched_units = 0;  ///< lease expiries re-queued
-    std::size_t duplicate_commits = 0;   ///< losing-lease completions dropped
+    std::size_t duplicate_commits = 0;   ///< stale-lease completions dropped
     /// Per shard address: leases dispatched to it and not yet committed,
     /// failed or expired.
     std::map<std::string, std::size_t> inflight_leases;
@@ -88,8 +88,7 @@ class ShardFleet {
   void slot_loop(Shard& shard);
   /// One lease round on an established connection: claim (blocking), send,
   /// stream rows, commit. False = transport trouble, reconnect.
-  bool lease_round(Shard& shard, util::LineChannel& ch,
-                   std::vector<std::string>& sent_specs);
+  bool lease_round(Shard& shard, util::LineChannel& ch);
   void set_live(Shard& shard, bool live);
   /// Create the slot threads once the shard's first registration succeeds:
   /// one per advertised worker thread, clamped to [1, 64].
@@ -111,7 +110,6 @@ class ShardFleet {
   std::vector<std::unique_ptr<Shard>> shards_;
 
   std::size_t leased_ = 0;
-  std::size_t stolen_ = 0;
   std::size_t redispatched_ = 0;
   std::size_t duplicates_ = 0;
 
@@ -119,7 +117,6 @@ class ShardFleet {
   // histograms live on the Shard.
   obs::Gauge live_shards_gauge_;
   obs::Counter leased_total_;
-  obs::Counter stolen_total_;
   obs::Counter redispatched_total_;
   obs::Counter duplicate_total_;
 };

@@ -3,24 +3,29 @@
 // and the no-checkpoint contract for leased units), the coordinator's
 // merge — byte-identical to a single-process run, with the merged commit
 // order equal to rows.jsonl order so `results --from=N` offsets stay
-// stable — exactly-once commit under duplicate (stolen) lease completion,
+// stable — exactly-once commit when an expired (stale) lease completes,
 // lease expiry + re-dispatch when a shard dies mid-job, and coordinator
 // restart resuming a sharded job on the same checkpoint root.
 //
 // Shards here are real in-process Servers behind real unix listen sockets
 // — the coordinator's fleet connects through the same connect_address path
-// the daemon uses, so the full transport (framing, spec resend, row
-// streaming, fd shutdown on death) is exercised, not a mock.
+// the daemon uses, so the full transport (framing, self-contained lease
+// requests, row streaming, fd shutdown on death) is exercised, not a mock.
 #include <gtest/gtest.h>
 
+#include <poll.h>
+#include <sys/socket.h>
 #include <unistd.h>
 
 #include <algorithm>
+#include <atomic>
 #include <chrono>
 #include <filesystem>
 #include <fstream>
+#include <functional>
 #include <map>
 #include <memory>
+#include <mutex>
 #include <set>
 #include <string>
 #include <thread>
@@ -130,9 +135,9 @@ class Client {
   /// Drive the lease verb by hand: returns unit -> raw row lines. Fails the
   /// test on anything but clean unit streams + lease_done.
   std::map<std::size_t, std::vector<std::string>> lease(
-      const std::string& ref, const std::string& tenant,
-      const std::vector<std::size_t>& units, const std::string& spec_json) {
-    EXPECT_TRUE(ch_.write_line(serve::lease_request(ref, tenant, units, spec_json)));
+      const std::string& tenant, const std::vector<std::size_t>& units,
+      const std::string& spec_json) {
+    EXPECT_TRUE(ch_.write_line(serve::lease_request(tenant, units, spec_json)));
     std::map<std::size_t, std::vector<std::string>> out;
     std::string line;
     while (ch_.read_line(line)) {
@@ -162,6 +167,78 @@ class Client {
  private:
   util::Fd fd_;
   util::LineChannel ch_;
+};
+
+/// A scripted shard on a real unix socket: it answers `register` (one
+/// slot, the default eps) and `heartbeat` like a stock daemon, and every
+/// `lease` with the single line `on_lease` returns. It reaches the
+/// coordinator's failure paths, which a stock daemon reaches only on a unit
+/// that throws or a spec it refuses.
+class FakeShard {
+ public:
+  FakeShard(std::string socket_path, std::function<std::string(const json::Value&)> on_lease)
+      : socket(std::move(socket_path)),
+        on_lease_(std::move(on_lease)),
+        listen_fd_(util::listen_unix(socket)) {
+    acceptor_ = std::thread([this] { accept_loop(); });
+  }
+  ~FakeShard() {
+    stopping_ = true;
+    acceptor_.join();
+    {
+      std::lock_guard<std::mutex> lock(mu_);
+      for (const util::Fd& fd : conn_fds_) ::shutdown(fd.get(), SHUT_RDWR);
+    }
+    for (std::thread& t : conn_threads_) t.join();
+  }
+  FakeShard(const FakeShard&) = delete;
+  FakeShard& operator=(const FakeShard&) = delete;
+
+  const std::string socket;
+
+ private:
+  void accept_loop() {
+    while (!stopping_) {
+      pollfd pfd{listen_fd_.get(), POLLIN, 0};
+      if (::poll(&pfd, 1, 20) <= 0) continue;
+      util::Fd conn = util::accept_connection(listen_fd_.get());
+      if (!conn.valid()) continue;
+      const int fd = conn.get();
+      std::lock_guard<std::mutex> lock(mu_);
+      conn_fds_.push_back(std::move(conn));
+      conn_threads_.emplace_back([this, fd] { serve(fd); });
+    }
+  }
+
+  void serve(int fd) {
+    util::LineChannel ch(fd);
+    std::string line;
+    while (ch.read_line(line)) {
+      const json::Value req = json::parse(line);
+      const std::string op = req.find("op")->as_string();
+      std::string reply;
+      if (op == "register") {
+        reply = json::dump(json::Object{{"ok", true},
+                                        {"type", "registered"},
+                                        {"threads", 1ull},
+                                        {"eps", serve::ServerOptions{}.eps},
+                                        {"coordinator", false}});
+      } else if (op == "heartbeat") {
+        reply = json::dump(json::Object{{"ok", true}, {"type", "pong"}});
+      } else {
+        reply = on_lease_(req);
+      }
+      if (!ch.write_line(reply)) return;
+    }
+  }
+
+  std::function<std::string(const json::Value&)> on_lease_;
+  util::Fd listen_fd_;
+  std::atomic<bool> stopping_{false};
+  std::mutex mu_;  ///< conn_fds_, conn_threads_
+  std::vector<util::Fd> conn_fds_;
+  std::vector<std::thread> conn_threads_;
+  std::thread acceptor_;
 };
 
 bool is_ok(const json::Value& v) {
@@ -242,14 +319,12 @@ TEST(Shard, StockServerSpeaksTheShardVerbs) {
   ASSERT_TRUE(is_ok(resp)) << error_of(resp);
   EXPECT_EQ(resp.find("type")->as_string(), "pong");
 
-  // lease with an unknown reference and no spec: the error carries the
-  // need_spec hint the coordinator's resend path keys on.
+  // Every lease is self-contained: one without a spec is rejected.
   const api::ExperimentSpec spec = tiny_spec();
-  resp = client.roundtrip(serve::lease_request("leasejob", "alice", {0}));
+  resp = client.roundtrip(json::dump(json::Object{
+      {"op", "lease"}, {"tenant", "alice"}, {"units", json::Array{0ull}}}));
   EXPECT_FALSE(is_ok(resp));
-  EXPECT_TRUE(resp.find("need_spec") != nullptr &&
-              resp.find("need_spec")->as_bool())
-      << json::dump(resp);
+  EXPECT_EQ(error_of(resp), "spec: required");
 
   // With the spec attached, every leased unit streams its rows — and the
   // full lease reproduces exactly the rows a local submit of the same spec
@@ -259,15 +334,16 @@ TEST(Shard, StockServerSpeaksTheShardVerbs) {
   ASSERT_EQ(units, 8u);
   std::vector<std::size_t> all_units(units);
   for (std::size_t u = 0; u < units; ++u) all_units[u] = u;
-  const auto leased = client.lease("leasejob", "alice", all_units, spec_json);
+  const auto leased = client.lease("alice", all_units, spec_json);
   ASSERT_EQ(leased.size(), units);
   std::vector<std::string> lease_rows;
   for (const auto& [unit, rows] : leased) {
     EXPECT_EQ(rows.size(), 2u) << "unit " << unit;  // 2 heuristics
     lease_rows.insert(lease_rows.end(), rows.begin(), rows.end());
   }
-  // Spec is cached per connection: a follow-up lease without it works.
-  const auto again = client.lease("leasejob", "alice", {0}, "");
+  // A follow-up lease on the same connection is independent of the first
+  // and reproduces the same bytes.
+  const auto again = client.lease("alice", {0}, spec_json);
   ASSERT_EQ(again.size(), 1u);
   EXPECT_EQ(again.at(0), leased.at(0));
 
@@ -278,11 +354,15 @@ TEST(Shard, StockServerSpeaksTheShardVerbs) {
   EXPECT_EQ(sorted(lease_rows), sorted(local_rows));
 
   // Leased units are the coordinator's to checkpoint, never the shard's:
-  // no job directory appeared under the shard's root for the lease ref.
-  EXPECT_FALSE(std::filesystem::exists(opts.root + "/leasejob"));
+  // the only job directory under the shard's root is the local submit's.
+  std::vector<std::string> job_dirs;
+  for (const auto& entry : std::filesystem::directory_iterator(opts.root)) {
+    job_dirs.push_back(entry.path().filename().string());
+  }
+  EXPECT_EQ(job_dirs, std::vector<std::string>{"local"});
 
   // Out-of-range unit ids are named at the wire.
-  resp = client.roundtrip(serve::lease_request("leasejob", "alice", {units}));
+  resp = client.roundtrip(serve::lease_request("alice", {units}, spec_json));
   EXPECT_FALSE(is_ok(resp));
   EXPECT_NE(error_of(resp).find("out of range"), std::string::npos) << error_of(resp);
 }
@@ -310,46 +390,78 @@ TEST(Shard, CoordinatorMergesByteIdenticalToSingleProcess) {
   // indexes one well-defined sequence.
   EXPECT_EQ(rows, file_rows(copts.root + "/sweep/rows.jsonl"));
 
-  // Both shards actually served (work stealing pulls from both), and the
-  // counters verb exposes the coordinator block.
-  const serve::ShardFleet::Counters c = coord.server->shard_fleet()->counters();
+  // With no shard death every unit is leased exactly once and no commit is
+  // a duplicate: one lease per unit, and nothing expired.
+  serve::ShardFleet& fleet = *coord.server->shard_fleet();
+  const serve::ShardFleet::Counters c = fleet.counters();
   EXPECT_EQ(c.shards, 2u);
-  EXPECT_GE(c.leased_units, 24u);
+  EXPECT_EQ(c.leased_units, spec.unit_count());
+  EXPECT_EQ(c.duplicate_commits, 0u);
+  EXPECT_EQ(c.redispatched_units, 0u);
+
+  // A slot resolves its lease just after the commit that completes the job,
+  // so the per-shard lease counts may trail the job's done state briefly.
+  const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  const auto all_resolved = [&] {
+    for (const auto& [address, n] : fleet.counters().inflight_leases) {
+      if (n != 0) return false;
+    }
+    return true;
+  };
+  while (!all_resolved()) {
+    ASSERT_LT(std::chrono::steady_clock::now(), deadline) << "a shard kept a lease";
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+
+  // The counters verb exposes the coordinator block, per-shard in-flight
+  // leases included.
   const json::Value counters = client.roundtrip(serve::counters_request());
   ASSERT_TRUE(is_ok(counters));
   const json::Value* coord_block = counters.find("coordinator");
   ASSERT_NE(coord_block, nullptr);
   EXPECT_EQ(coord_block->find("shards")->as_uint(), 2u);
-  EXPECT_GE(coord_block->find("leased_units")->as_uint(), 24u);
+  EXPECT_EQ(coord_block->find("leased_units")->as_uint(), spec.unit_count());
+  EXPECT_EQ(coord_block->find("duplicate_commits")->as_uint(), 0u);
+  const json::Value* inflight_leases = coord_block->find("inflight_leases");
+  ASSERT_NE(inflight_leases, nullptr);
+  ASSERT_EQ(inflight_leases->as_object().size(), 2u);
+  for (const std::string& address : {shard1.socket, shard2.socket}) {
+    const json::Value* n = inflight_leases->find(address);
+    ASSERT_NE(n, nullptr) << address;
+    EXPECT_EQ(n->as_uint(), 0u) << address;
+  }
 
   // The coordinator's accounting returns to zero: every claim resolved, no
   // local worker exists to be busy, and the tenant saw each unit once.
-  const json::Value* fleet = counters.find("fleet");
-  ASSERT_NE(fleet, nullptr);
-  EXPECT_EQ(fleet->find("inflight_units")->as_uint(), 0u);
-  EXPECT_EQ(fleet->find("busy_workers")->as_uint(), 0u);
+  const json::Value* fleet_block = counters.find("fleet");
+  ASSERT_NE(fleet_block, nullptr);
+  EXPECT_EQ(fleet_block->find("inflight_units")->as_uint(), 0u);
+  EXPECT_EQ(fleet_block->find("busy_workers")->as_uint(), 0u);
   const json::Value* alice = counters.find("tenants")->find("alice");
   ASSERT_NE(alice, nullptr);
   EXPECT_EQ(alice->find("inflight")->as_uint(), 0u);
   EXPECT_EQ(alice->find("units_done")->as_uint(), spec.unit_count());
 }
 
+/// Rows of every unit of `spec`, computed by a stock daemon through the
+/// lease verb — the same bytes any shard would stream.
+std::map<std::size_t, std::vector<std::string>> unit_rows(const api::ExperimentSpec& spec,
+                                                          const std::string& tag) {
+  Daemon shard(shard_opts(tag), fresh_root(tag + "_sock") + ".sock");
+  Client client(shard.socket);
+  std::vector<std::size_t> all_units(spec.unit_count());
+  for (std::size_t u = 0; u < all_units.size(); ++u) all_units[u] = u;
+  return client.lease("alice", all_units, json::dump(api::spec_to_json(spec)));
+}
+
 TEST(Shard, DuplicateLeaseCompletionCommitsExactlyOnce) {
-  // Drive the dispatch surface directly: claim every unit, steal one (a
-  // second lease on an in-flight unit), complete BOTH leases with the same
-  // rows. Exactly one commit lands; the loser reports Duplicate and the
-  // checkpoint holds each row once.
+  // Drive the dispatch surface directly: claim every unit, expire one lease
+  // (return_lease) and re-claim its unit, then complete BOTH leases with
+  // the same rows. The fresh lease commits; the stale one reports Duplicate
+  // and the checkpoint holds each row once.
   const api::ExperimentSpec spec = tiny_spec();  // 8 units
   const std::size_t units = spec.unit_count();
-
-  // A stock daemon computes the rows for us via the lease verb — the same
-  // bytes any shard would stream.
-  Daemon shard(shard_opts("dup_rows"), fresh_root("dup_rows_sock") + ".sock");
-  Client shard_client(shard.socket);
-  std::vector<std::size_t> all_units(units);
-  for (std::size_t u = 0; u < units; ++u) all_units[u] = u;
-  const auto rows_of = shard_client.lease("ref", "alice", all_units,
-                                          json::dump(api::spec_to_json(spec)));
+  const auto rows_of = unit_rows(spec, "dup_rows");
   ASSERT_EQ(rows_of.size(), units);
 
   serve::ServerOptions copts = coordinator_opts("dup_coord", {});
@@ -361,24 +473,25 @@ TEST(Shard, DuplicateLeaseCompletionCommitsExactlyOnce) {
   // No shards are attached, so these claims are the only dispatch path.
   std::vector<serve::Server::Lease> leases;
   for (std::size_t i = 0; i < units; ++i) {
-    auto lease = coord.server->claim_for_dispatch(/*allow_steal=*/false);
+    auto lease = coord.server->claim_for_dispatch();
     ASSERT_TRUE(lease.has_value());
-    EXPECT_FALSE(lease->stolen);
     leases.push_back(std::move(*lease));
   }
 
-  auto stolen = coord.server->claim_for_dispatch(/*allow_steal=*/true);
-  ASSERT_TRUE(stolen.has_value());
-  EXPECT_TRUE(stolen->stolen);
-  const std::size_t victim = stolen->unit;
+  const serve::Server::Lease stale = leases.back();
+  coord.server->return_lease(stale);
+  auto fresh = coord.server->claim_for_dispatch();
+  ASSERT_TRUE(fresh.has_value());
+  ASSERT_EQ(fresh->unit, stale.unit);
 
-  // The stolen (duplicate) lease wins the race; the original must dedup.
-  EXPECT_EQ(coord.server->commit_unit(*stolen, rows_of.at(victim), 0),
+  EXPECT_EQ(coord.server->commit_unit(*fresh, rows_of.at(fresh->unit), 0),
             serve::Server::Commit::Committed);
+  EXPECT_EQ(coord.server->commit_unit(stale, rows_of.at(stale.unit), 0),
+            serve::Server::Commit::Duplicate);
+  leases.pop_back();
   for (const auto& lease : leases) {
-    const auto rc = coord.server->commit_unit(lease, rows_of.at(lease.unit), 0);
-    EXPECT_EQ(rc, lease.unit == victim ? serve::Server::Commit::Duplicate
-                                       : serve::Server::Commit::Committed);
+    EXPECT_EQ(coord.server->commit_unit(lease, rows_of.at(lease.unit), 0),
+              serve::Server::Commit::Committed);
   }
 
   const auto status = coord.server->wait_job("sweep");
@@ -397,6 +510,99 @@ TEST(Shard, DuplicateLeaseCompletionCommitsExactlyOnce) {
   EXPECT_EQ(coord.server->job_status("sweep")->state, "done");
 }
 
+TEST(Shard, StaleLeaseCommitAfterReturnIsRefused) {
+  // A lease committed after return_lease put its unit back to pending must
+  // write nothing and must not decrement the in-flight counts a second
+  // time; the unit reruns under a fresh claim.
+  const api::ExperimentSpec spec = tiny_spec();  // 8 units
+  const std::size_t units = spec.unit_count();
+  const auto rows_of = unit_rows(spec, "stale_rows");
+  ASSERT_EQ(rows_of.size(), units);
+
+  serve::ServerOptions copts = coordinator_opts("stale_coord", {});
+  Daemon coord(copts, fresh_root("stale_coord_sock") + ".sock");
+  Client client(coord.socket);
+  const json::Value ack = client.submit(spec, "alice", "sweep");
+  ASSERT_TRUE(is_ok(ack)) << error_of(ack);
+
+  auto stale = coord.server->claim_for_dispatch();
+  ASSERT_TRUE(stale.has_value());
+  coord.server->return_lease(*stale);
+  EXPECT_EQ(coord.server->commit_unit(*stale, rows_of.at(stale->unit), 0),
+            serve::Server::Commit::Duplicate);
+
+  // Fatal: a committed stale unit would leave the claim loop below waiting
+  // for a pending unit that no longer exists.
+  ASSERT_EQ(coord.server->job_status("sweep")->units_done, 0u);
+  EXPECT_EQ(client.stream_results("sweep", 0, /*wait=*/false).first.size(), 0u);
+  const json::Value counters = client.roundtrip(serve::counters_request());
+  ASSERT_TRUE(is_ok(counters)) << error_of(counters);
+  EXPECT_EQ(counters.find("fleet")->find("inflight_units")->as_uint(), 0u);
+  EXPECT_EQ(counters.find("fleet")->find("queue_depth")->as_uint(), units);
+  EXPECT_EQ(counters.find("tenants")->find("alice")->find("inflight")->as_uint(), 0u);
+
+  // The job still completes, through fresh claims of every unit.
+  for (std::size_t i = 0; i < units; ++i) {
+    auto lease = coord.server->claim_for_dispatch();
+    ASSERT_TRUE(lease.has_value());
+    EXPECT_EQ(coord.server->commit_unit(*lease, rows_of.at(lease->unit), 0),
+              serve::Server::Commit::Committed);
+  }
+  const auto status = coord.server->wait_job("sweep");
+  ASSERT_TRUE(status.has_value());
+  EXPECT_EQ(status->state, "done");
+  const auto [rows, end] = client.stream_results("sweep");
+  EXPECT_EQ(rows.size(), units * 2);
+  std::set<std::string> unique(rows.begin(), rows.end());
+  EXPECT_EQ(unique.size(), rows.size());
+  EXPECT_EQ(rows, file_rows(copts.root + "/sweep/rows.jsonl"));
+}
+
+TEST(Shard, ShardFailureFailsTheJobAndReleasesEveryLease) {
+  // A unit that fails on its shard, and a lease the shard rejects, each
+  // fail the job with the shard's error. The rest of the batch goes back
+  // to pending without counting as an expiry, and no lease stays charged
+  // to the shard or the tenant.
+  for (const bool reject : {false, true}) {
+    SCOPED_TRACE(reject ? "rejected lease" : "failed unit");
+    const std::string tag = reject ? "reject" : "unitfail";
+    FakeShard fake(fresh_root(tag + "_fake_sock") + ".sock", [&](const json::Value& req) {
+      if (reject) return json::dump(json::Object{{"ok", false}, {"error", "spec: refused"}});
+      // Fail the LAST unit of the batch, so the others are still unresolved.
+      const json::Value& last = req.find("units")->as_array().back();
+      return json::dump(json::Object{{"ok", false},
+                                     {"type", "unit_failed"},
+                                     {"unit", last.as_uint()},
+                                     {"error", "unit exploded"}});
+    });
+    Daemon coord(coordinator_opts(tag + "_coord", {fake.socket}),
+                 fresh_root(tag + "_coord_sock") + ".sock");
+    Client client(coord.socket);
+    ASSERT_TRUE(is_ok(client.submit(tiny_spec(), "alice", "sweep")));
+
+    const auto status = coord.server->wait_job("sweep");
+    ASSERT_TRUE(status.has_value());
+    EXPECT_EQ(status->state, "failed");
+    EXPECT_EQ(status->error, reject ? "spec: refused" : "unit exploded");
+    EXPECT_EQ(status->units_done, 0u);
+
+    // The slot resolves its leases just after failing the job.
+    serve::ShardFleet& fleet = *coord.server->shard_fleet();
+    const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(10);
+    while (fleet.counters().inflight_leases.at(fake.socket) != 0) {
+      ASSERT_LT(std::chrono::steady_clock::now(), deadline) << "the shard kept a lease";
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+    const serve::ShardFleet::Counters c = fleet.counters();
+    EXPECT_EQ(c.leased_units, 2u);  // one scenario: 2 trials
+    EXPECT_EQ(c.redispatched_units, 0u);
+    EXPECT_EQ(c.duplicate_commits, 0u);
+    const json::Value counters = client.roundtrip(serve::counters_request());
+    ASSERT_TRUE(is_ok(counters)) << error_of(counters);
+    EXPECT_EQ(counters.find("tenants")->find("alice")->find("inflight")->as_uint(), 0u);
+  }
+}
+
 TEST(Shard, SiblingClaimsStayInsideTheScenario) {
   // Scenario-affine batching: try_claim_sibling hands out the remaining
   // trials of the held lease's scenario — and nothing else — so whole
@@ -406,7 +612,7 @@ TEST(Shard, SiblingClaimsStayInsideTheScenario) {
   Client client(coord.socket);
   ASSERT_TRUE(is_ok(client.submit(spec, "alice", "sweep")));
 
-  auto first = coord.server->claim_for_dispatch(/*allow_steal=*/false);
+  auto first = coord.server->claim_for_dispatch();
   ASSERT_TRUE(first.has_value());
   const std::size_t scenario = api::unit_scenario(first->unit, spec.trials);
 
@@ -416,13 +622,12 @@ TEST(Shard, SiblingClaimsStayInsideTheScenario) {
     auto sib = coord.server->try_claim_sibling(held.back());
     ASSERT_TRUE(sib.has_value()) << "sibling " << i;
     EXPECT_EQ(api::unit_scenario(sib->unit, spec.trials), scenario);
-    EXPECT_FALSE(sib->stolen);
     held.push_back(std::move(*sib));
   }
   // The scenario is exhausted: no fourth sibling, even though other
   // scenarios still have pending units (a fresh claim finds one).
   EXPECT_FALSE(coord.server->try_claim_sibling(held.back()).has_value());
-  auto next = coord.server->claim_for_dispatch(/*allow_steal=*/false);
+  auto next = coord.server->claim_for_dispatch();
   ASSERT_TRUE(next.has_value());
   EXPECT_NE(api::unit_scenario(next->unit, spec.trials), scenario);
 
@@ -452,7 +657,7 @@ TEST(Shard, LeaseWorkOverQuotaDrainsAndStaysByteIdentical) {
   for (std::size_t u = 0; u < units; ++u) all_units[u] = u;
   std::map<std::string, std::vector<std::string>> rows;
   for (const std::string tenant : {"small", "big"}) {
-    const auto leased = client.lease("ref-" + tenant, tenant, all_units, spec_json);
+    const auto leased = client.lease(tenant, all_units, spec_json);
     ASSERT_EQ(leased.size(), units) << tenant;
     for (const auto& [unit, unit_rows] : leased) {
       rows[tenant].insert(rows[tenant].end(), unit_rows.begin(), unit_rows.end());
@@ -479,10 +684,13 @@ TEST(Shard, ShardDeathMidJobExpiresLeasesAndStaysByteIdentical) {
 
   Daemon shard1(shard_opts("kill_s1"), fresh_root("kill_s1_sock") + ".sock");
   Daemon shard2(shard_opts("kill_s2"), fresh_root("kill_s2_sock") + ".sock");
-  // Shard 2 joins only once shard 1 holds a lease. Started together, shard 2
-  // could take every lease and leave shard 1 nothing to lose, or shard 1's
-  // leases could all resolve before the kill; either way the kill would
-  // expire nothing.
+  // Shard 2 joins only after shard 1 died holding a lease. While shard 1 is
+  // alone, units stay pending until it has run the whole job, so wherever
+  // the kill lands, shard 1 holds a lease or claims its next one on a dead
+  // connection; both expire. Joined before the kill, shard 2 could claim
+  // every pending unit while shard 1 finishes its batch, leaving shard 1
+  // nothing to lose (one lease per unit: an idle slot never takes a unit
+  // another shard holds).
   serve::ServerOptions copts = coordinator_opts("kill_coord", {shard1.socket});
   Daemon coord(copts, fresh_root("kill_coord_sock") + ".sock");
   Client client(coord.socket);
@@ -498,8 +706,8 @@ TEST(Shard, ShardDeathMidJobExpiresLeasesAndStaysByteIdentical) {
     ASSERT_LT(std::chrono::steady_clock::now(), deadline) << "shard 1 never took a lease";
     std::this_thread::sleep_for(std::chrono::microseconds(200));
   }
-  fleet.add_shard(shard2.socket);
   shard1.kill();
+  fleet.add_shard(shard2.socket);
 
   const auto status = coord.server->wait_job("sweep");
   ASSERT_TRUE(status.has_value());

@@ -26,7 +26,8 @@
 // holders are slots that lease (scenario, trial) units to stock
 // tcgrid_serve shard daemons (--shard, repeatable, unix:PATH or
 // tcp:HOST:PORT; more can join at runtime via the `register` verb), one
-// slot per shard worker thread, with pull-based work stealing, and the
+// slot per shard worker thread, pulling units from one queue; each unit has
+// one live lease at a time, an expired lease's unit is re-leased, and the
 // streamed rows commit into the coordinator's own checkpoint. The client-facing
 // verbs are unchanged, and the merged row set is byte-identical to a
 // single-process run. --listen-tcp accepts the same protocol over TCP —
@@ -69,8 +70,8 @@ using tcgrid::serve::TenantQuota;
                "  --listen-tcp also accepts the protocol on a TCP port\n"
                "  --coordinator runs no local workers: units are leased to --shard\n"
                "    daemons (unix:PATH or tcp:HOST:PORT; repeatable, or registered at\n"
-               "    runtime), one lease slot per shard worker thread, with work\n"
-               "    stealing; rows merged byte-identically\n",
+               "    runtime), one lease slot per shard worker thread, one lease per\n"
+               "    unit (re-leased on expiry); rows merged byte-identically\n",
                argv0);
   std::exit(2);
 }
