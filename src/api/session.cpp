@@ -179,10 +179,6 @@ const platform::Scenario& Session::scenario_for(const platform::ScenarioParams& 
   return entry_for(scen::ScenarioSpace{}, params).scenario;
 }
 
-const sched::Estimator& Session::estimator_for(const platform::ScenarioParams& params) {
-  return entry_for(scen::ScenarioSpace{}, params).estimator;
-}
-
 sim::SimulationResult Session::run_one(const Options& options,
                                        const scen::AvailabilityFamily& family,
                                        const platform::Scenario& scenario,

@@ -173,19 +173,14 @@ class Session {
   /// calling thread. Valid until the session is destroyed.
   [[nodiscard]] const platform::Scenario& scenario_for(const platform::ScenarioParams& params);
 
-  /// The calling thread's cached estimator for a scenario (built on first
-  /// use with options().eps). Valid until the session is destroyed; never
-  /// share it with another thread.
-  [[nodiscard]] const sched::Estimator& estimator_for(const platform::ScenarioParams& params);
-
   /// Drop every thread's cached scenario/estimator entries and replace the
   /// shared chain-statistics store with a fresh one — the store's survival
   /// tables and set entries are where a long sweep's estimator memory
   /// actually lives. A long-lived session that sweeps many scenario
   /// populations otherwise retains one estimator per (thread, scenario)
   /// forever; call this between sweeps (cells) to bound memory. MUST NOT run
-  /// concurrently with run / run_trial / scenario_for / estimator_for —
-  /// references returned by those calls are invalidated.
+  /// concurrently with run / run_trial / scenario_for — references returned
+  /// by those calls are invalidated.
   void clear_caches();
 
   /// Drop every thread's cached scenario/estimator entries but RETAIN the
@@ -216,8 +211,8 @@ class Session {
   /// Total cached scenario entries across all threads (observability for
   /// memory monitoring and the clear_caches tests). Same concurrency
   /// contract as clear_caches(): MUST NOT run while run / run_trial /
-  /// scenario_for / estimator_for are in flight — worker threads mutate
-  /// their caches without the directory mutex this reads sizes under.
+  /// scenario_for are in flight — worker threads mutate their caches
+  /// without the directory mutex this reads sizes under.
   [[nodiscard]] std::size_t cached_entries();
 
   [[nodiscard]] const Options& options() const noexcept { return options_; }

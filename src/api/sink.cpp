@@ -5,6 +5,7 @@
 
 #include "api/spec.hpp"
 #include "util/csv.hpp"
+#include "util/json.hpp"
 
 namespace tcgrid::api {
 
@@ -86,41 +87,53 @@ void CsvSink::finish() {
 
 // -------------------------------------------------------------- JsonlSink ----
 
-namespace {
-
-// Registry names are caller-chosen strings; escape everything JSON requires
-// (quotes, backslashes, control characters) so no name can corrupt the
-// stream.
-void write_json_string(std::ostream& out, const std::string& s) {
-  static const char* hex = "0123456789abcdef";
-  out << '"';
-  for (char c : s) {
-    const auto u = static_cast<unsigned char>(c);
-    if (c == '"' || c == '\\') out << '\\' << c;
-    else if (c == '\n') out << "\\n";
-    else if (c == '\r') out << "\\r";
-    else if (c == '\t') out << "\\t";
-    else if (u < 0x20) out << "\\u00" << hex[u >> 4] << hex[u & 0xf];
-    else out << c;
-  }
-  out << '"';
+std::string row_line(std::size_t scenario, int trial, std::size_t heuristic_index,
+                     const std::string& heuristic, const std::string& family,
+                     const platform::ScenarioParams& params,
+                     const sim::SimulationResult& r) {
+  // Hand-rolled append (no Value tree): rows are the hot emission path and
+  // their byte layout is a documented contract — keep it explicit.
+  std::string out;
+  out.reserve(192);
+  out += "{\"scenario\":";
+  out += std::to_string(scenario);
+  out += ",\"trial\":";
+  out += std::to_string(trial);
+  out += ",\"h\":";
+  out += std::to_string(heuristic_index);
+  out += ",\"heuristic\":";
+  util::json::append_quoted(heuristic, out);
+  out += ",\"family\":";
+  util::json::append_quoted(family, out);
+  out += ",\"m\":";
+  out += std::to_string(params.m);
+  out += ",\"ncom\":";
+  out += std::to_string(params.ncom);
+  out += ",\"wmin\":";
+  out += std::to_string(params.wmin);
+  out += ",\"scenario_seed\":";
+  out += std::to_string(params.seed);
+  out += ",\"success\":";
+  out += r.success ? "true" : "false";
+  out += ",\"makespan\":";
+  out += std::to_string(r.makespan);
+  out += ",\"iterations\":";
+  out += std::to_string(r.iterations_completed);
+  out += ",\"restarts\":";
+  out += std::to_string(r.total_restarts);
+  out += ",\"reconfigs\":";
+  out += std::to_string(r.total_reconfigurations);
+  out += ",\"idle_slots\":";
+  out += std::to_string(r.idle_slots);
+  out += "}";
+  return out;
 }
 
-}  // namespace
-
 void JsonlSink::consume(const ResultRow& row) {
-  const auto& p = *row.params;
-  const auto& r = *row.result;
-  *out_ << R"({"heuristic":)";
-  write_json_string(*out_, *row.name);
-  *out_ << R"(,"family":)";
-  write_json_string(*out_, row.family != nullptr ? *row.family : std::string());
-  *out_ << R"(,"m":)" << p.m << R"(,"ncom":)" << p.ncom << R"(,"wmin":)" << p.wmin
-        << R"(,"scenario_seed":)" << p.seed << R"(,"trial":)" << row.trial
-        << R"(,"success":)" << (r.success ? "true" : "false") << R"(,"makespan":)"
-        << r.makespan << R"(,"iterations":)" << r.iterations_completed
-        << R"(,"restarts":)" << r.total_restarts << R"(,"reconfigs":)"
-        << r.total_reconfigurations << R"(,"idle_slots":)" << r.idle_slots << "}\n";
+  *out_ << row_line(row.scenario, row.trial, row.heuristic, *row.name,
+                    row.family != nullptr ? *row.family : std::string(), *row.params,
+                    *row.result)
+        << '\n';
 }
 
 void JsonlSink::finish() {

@@ -52,6 +52,16 @@ struct ResultRow {
   const sim::SimulationResult* result = nullptr;  ///< full simulation outcome
 };
 
+/// One completed (scenario, trial, heuristic) outcome as a JSONL line (no
+/// trailing newline). Fixed key order, deterministic bytes: the one row
+/// format that JsonlSink, the serve checkpoint and the serve wire share.
+[[nodiscard]] std::string row_line(std::size_t scenario, int trial,
+                                   std::size_t heuristic_index,
+                                   const std::string& heuristic,
+                                   const std::string& family,
+                                   const platform::ScenarioParams& params,
+                                   const sim::SimulationResult& result);
+
 /// Consumer of streamed trial outcomes.
 class ResultSink {
  public:
@@ -114,8 +124,8 @@ class CsvSink final : public ResultSink {
   bool header_written_ = false;  ///< one header even across several runs
 };
 
-/// Streams one JSON object per line per trial — the shape sharding and
-/// checkpointing consumers want (append-only, order-independent, mergeable).
+/// Streams one row_line per trial — the shape sharding and checkpointing
+/// consumers want (append-only, order-independent, mergeable).
 class JsonlSink final : public ResultSink {
  public:
   explicit JsonlSink(std::ostream& out) : out_(&out) {}

@@ -149,11 +149,6 @@ ChainId ChainStatsStore::intern(const UrMatrix& m) {
   return id;
 }
 
-UrMatrix ChainStatsStore::chain(ChainId id) const {
-  const std::lock_guard<std::mutex> lock(mu_);
-  return chains_.at(id)->matrix;
-}
-
 CoupledStats ChainStatsStore::chain_stats(ChainId id) const {
   ChainEntry* entry;
   {

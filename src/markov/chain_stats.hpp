@@ -142,9 +142,6 @@ class ChainStatsStore {
   /// Intern a UR sub-matrix by bit content; returns its canonical id.
   ChainId intern(const UrMatrix& m);
 
-  /// The interned matrix (by value; the store's copy is internal).
-  [[nodiscard]] UrMatrix chain(ChainId id) const;
-
   /// coupled_stats({chain}, eps): computed once per chain, ever. Returned by
   /// value — the caller's copy owns a private (empty) w-memo.
   [[nodiscard]] CoupledStats chain_stats(ChainId id) const;

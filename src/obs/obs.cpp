@@ -76,47 +76,20 @@ std::uint64_t steady_now_us() noexcept {
 
 // ---------------------------------------------------------------- registry ----
 
-/// One thread's private cell space. Cells live in fixed 4096-cell blocks so
-/// the directory can grow (new metrics, e.g. per-tenant histograms) without
-/// ever moving a cell a writer might be touching: a block, once published,
-/// is immortal and address-stable. The block table itself is a fixed array
-/// of atomic pointers — readers load a slot's block with acquire and never
-/// take the registry mutex.
-struct Registry::Shard {
-  static constexpr std::uint32_t kBlockCells = 4096;
-  static constexpr std::uint32_t kMaxBlocks = 64;  ///< 256Ki cells ≈ 6k histograms
-
-  struct Block {
-    std::array<std::atomic<std::uint64_t>, kBlockCells> cells{};
-  };
-
-  std::array<std::atomic<Block*>, kMaxBlocks> blocks{};
-  /// Leased by exactly one live thread at a time; released (but the counts
-  /// kept) on thread exit, so short-lived serve handler threads reuse
-  /// shards instead of growing the pool without bound.
-  std::atomic<bool> leased{false};
-
-  std::atomic<std::uint64_t>& cell(std::uint32_t slot) {
-    Block* block = blocks[slot / kBlockCells].load(std::memory_order_acquire);
-    return block->cells[slot % kBlockCells];
-  }
-};
-
 struct Registry::Entry {
   std::string name;
   Labels labels;
   Kind kind = Kind::Counter;
-  std::uint32_t base = 0;   ///< first cell slot (counter/histogram)
-  std::uint32_t cells = 0;  ///< cell count (0 for gauges)
+  /// Counter: cells[0]. Histogram: kBuckets buckets, then count, then sum.
+  /// Gauges use `gauge` and leave this empty. Sized once at registration,
+  /// so a handle's pointer into it stays valid for the process lifetime.
+  std::vector<std::atomic<std::uint64_t>> cells;
   std::atomic<long long> gauge{0};
 };
 
 struct Registry::Impl {
   std::mutex mu;
-  std::vector<std::unique_ptr<Entry>> entries;   // stable addresses (gauge cells)
-  std::vector<std::unique_ptr<Shard>> shards;    // stable addresses (leases)
-  std::uint32_t next_slot = 0;
-  std::uint32_t capacity_blocks = 0;  ///< blocks allocated in every shard
+  std::vector<std::unique_ptr<Entry>> entries;  // stable addresses
 };
 
 Registry::Registry() : impl_(new Impl()) {}
@@ -127,7 +100,7 @@ Registry& Registry::instance() {
 }
 
 Registry::Entry& Registry::entry_for(std::string_view name, Labels&& labels,
-                                     Kind kind, std::uint32_t cells_needed) {
+                                     Kind kind, std::size_t cells_needed) {
   std::lock_guard<std::mutex> lock(impl_->mu);
   for (const auto& entry : impl_->entries) {
     if (entry->name == name && entry->labels == labels) {
@@ -142,38 +115,20 @@ Registry::Entry& Registry::entry_for(std::string_view name, Labels&& labels,
   entry->name = std::string(name);
   entry->labels = std::move(labels);
   entry->kind = kind;
-  entry->cells = cells_needed;
-  if (cells_needed > 0) {
-    entry->base = impl_->next_slot;
-    impl_->next_slot += cells_needed;
-    const std::uint32_t blocks_needed =
-        (impl_->next_slot + Shard::kBlockCells - 1) / Shard::kBlockCells;
-    if (blocks_needed > Shard::kMaxBlocks) {
-      throw std::length_error("obs: metric cell space exhausted");
-    }
-    // Publish any new blocks into every existing shard before the handle
-    // escapes: a writer can only hold a slot it got from a handle, and the
-    // handle is only returned after this store.
-    for (const auto& shard : impl_->shards) {
-      for (std::uint32_t b = impl_->capacity_blocks; b < blocks_needed; ++b) {
-        shard->blocks[b].store(new Shard::Block(), std::memory_order_release);
-      }
-    }
-    if (blocks_needed > impl_->capacity_blocks) impl_->capacity_blocks = blocks_needed;
-  }
+  entry->cells = std::vector<std::atomic<std::uint64_t>>(cells_needed);
   impl_->entries.push_back(std::move(entry));
   return *impl_->entries.back();
 }
 
 Counter Registry::counter(std::string_view name, Labels labels) {
   Entry& entry = entry_for(name, std::move(labels), Kind::Counter, 1);
-  return Counter(this, entry.base);
+  return Counter(entry.cells.data());
 }
 
 Histogram Registry::histogram(std::string_view name, Labels labels) {
   Entry& entry = entry_for(name, std::move(labels), Kind::Histogram,
-                           static_cast<std::uint32_t>(Histogram::kBuckets) + 2);
-  return Histogram(this, entry.base);
+                           static_cast<std::size_t>(Histogram::kBuckets) + 2);
+  return Histogram(entry.cells.data());
 }
 
 Gauge Registry::gauge(std::string_view name, Labels labels) {
@@ -181,47 +136,9 @@ Gauge Registry::gauge(std::string_view name, Labels labels) {
   return Gauge(&entry.gauge);
 }
 
-Registry::Shard& Registry::local_shard() {
-  // Thread-exit releases the lease but keeps the shard (and its counts):
-  // totals survive worker churn, and the next thread to start counting
-  // reuses the slot instead of growing the pool.
-  struct Lease {
-    Shard* shard = nullptr;
-    Lease() {
-      Registry& reg = Registry::instance();
-      std::lock_guard<std::mutex> lock(reg.impl_->mu);
-      for (const auto& candidate : reg.impl_->shards) {
-        bool expected = false;
-        if (candidate->leased.compare_exchange_strong(expected, true)) {
-          shard = candidate.get();
-          break;
-        }
-      }
-      if (shard == nullptr) {
-        auto fresh = std::make_unique<Shard>();
-        for (std::uint32_t b = 0; b < reg.impl_->capacity_blocks; ++b) {
-          fresh->blocks[b].store(new Shard::Block(), std::memory_order_release);
-        }
-        fresh->leased.store(true, std::memory_order_relaxed);
-        shard = fresh.get();
-        reg.impl_->shards.push_back(std::move(fresh));
-      }
-    }
-    ~Lease() {
-      if (shard != nullptr) shard->leased.store(false, std::memory_order_release);
-    }
-  };
-  thread_local Lease lease;
-  return *lease.shard;
-}
-
-std::atomic<std::uint64_t>& Registry::cell(std::uint32_t slot) {
-  return local_shard().cell(slot);
-}
-
 void Counter::inc(std::uint64_t n) const noexcept {
-  if (reg_ == nullptr || !enabled()) return;
-  reg_->cell(slot_).fetch_add(n, std::memory_order_relaxed);
+  if (cell_ == nullptr || !enabled()) return;
+  cell_->fetch_add(n, std::memory_order_relaxed);
 }
 
 void Gauge::set(long long v) const noexcept {
@@ -235,25 +152,21 @@ void Gauge::add(long long d) const noexcept {
 }
 
 void Histogram::observe(std::uint64_t value) const noexcept {
-  if (reg_ == nullptr || !enabled()) return;
-  Registry::Shard& shard = reg_->local_shard();
-  const auto bucket = static_cast<std::uint32_t>(bucket_of(value));
-  shard.cell(base_ + bucket).fetch_add(1, std::memory_order_relaxed);
-  shard.cell(base_ + kBuckets).fetch_add(1, std::memory_order_relaxed);
-  shard.cell(base_ + kBuckets + 1).fetch_add(value, std::memory_order_relaxed);
+  if (cells_ == nullptr || !enabled()) return;
+  cells_[bucket_of(value)].fetch_add(1, std::memory_order_relaxed);
+  cells_[kBuckets].fetch_add(1, std::memory_order_relaxed);
+  cells_[kBuckets + 1].fetch_add(value, std::memory_order_relaxed);
 }
 
 void Histogram::merge(const LocalHistogram& local) const noexcept {
-  if (reg_ == nullptr || !enabled() || local.count() == 0) return;
-  Registry::Shard& shard = reg_->local_shard();
+  if (cells_ == nullptr || !enabled() || local.count() == 0) return;
   const auto& buckets = local.buckets();
   for (int b = 0; b < kBuckets; ++b) {
-    if (buckets[static_cast<std::size_t>(b)] == 0) continue;
-    shard.cell(base_ + static_cast<std::uint32_t>(b))
-        .fetch_add(buckets[static_cast<std::size_t>(b)], std::memory_order_relaxed);
+    const std::uint64_t n = buckets[static_cast<std::size_t>(b)];
+    if (n != 0) cells_[b].fetch_add(n, std::memory_order_relaxed);
   }
-  shard.cell(base_ + kBuckets).fetch_add(local.count(), std::memory_order_relaxed);
-  shard.cell(base_ + kBuckets + 1).fetch_add(local.sum(), std::memory_order_relaxed);
+  cells_[kBuckets].fetch_add(local.count(), std::memory_order_relaxed);
+  cells_[kBuckets + 1].fetch_add(local.sum(), std::memory_order_relaxed);
 }
 
 Snapshot Registry::snapshot() {
@@ -270,23 +183,16 @@ Snapshot Registry::snapshot() {
         m.gauge = entry->gauge.load(std::memory_order_relaxed);
         break;
       case Kind::Counter:
-        for (const auto& shard : impl_->shards) {
-          m.value += shard->cell(entry->base).load(std::memory_order_relaxed);
-        }
+        m.value = entry->cells[0].load(std::memory_order_relaxed);
         break;
       case Kind::Histogram: {
-        m.buckets.assign(static_cast<std::size_t>(Histogram::kBuckets), 0);
-        for (const auto& shard : impl_->shards) {
-          for (int b = 0; b < Histogram::kBuckets; ++b) {
-            m.buckets[static_cast<std::size_t>(b)] +=
-                shard->cell(entry->base + static_cast<std::uint32_t>(b))
-                    .load(std::memory_order_relaxed);
-          }
-          m.count += shard->cell(entry->base + Histogram::kBuckets)
-                         .load(std::memory_order_relaxed);
-          m.sum += shard->cell(entry->base + Histogram::kBuckets + 1)
-                       .load(std::memory_order_relaxed);
+        m.buckets.resize(static_cast<std::size_t>(Histogram::kBuckets));
+        for (int b = 0; b < Histogram::kBuckets; ++b) {
+          m.buckets[static_cast<std::size_t>(b)] =
+              entry->cells[b].load(std::memory_order_relaxed);
         }
+        m.count = entry->cells[Histogram::kBuckets].load(std::memory_order_relaxed);
+        m.sum = entry->cells[Histogram::kBuckets + 1].load(std::memory_order_relaxed);
         break;
       }
     }
@@ -297,13 +203,8 @@ Snapshot Registry::snapshot() {
 
 void Registry::reset_values() {
   std::lock_guard<std::mutex> lock(impl_->mu);
-  for (const auto& shard : impl_->shards) {
-    for (std::uint32_t b = 0; b < impl_->capacity_blocks; ++b) {
-      Shard::Block* block = shard->blocks[b].load(std::memory_order_acquire);
-      for (auto& c : block->cells) c.store(0, std::memory_order_relaxed);
-    }
-  }
   for (const auto& entry : impl_->entries) {
+    for (auto& c : entry->cells) c.store(0, std::memory_order_relaxed);
     entry->gauge.store(0, std::memory_order_relaxed);
   }
 }

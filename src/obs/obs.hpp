@@ -3,14 +3,20 @@
 // Two halves:
 //
 //   * a process-wide METRICS REGISTRY of counters, gauges and fixed-bucket
-//     log₂-scale histograms. Updates go through per-thread shards — one
-//     relaxed fetch_add on a cell only the calling thread writes — so the
-//     hot path takes no lock and shares no cache line with other writers;
-//     a scrape (snapshot()) merges every shard's cells under the registry
-//     mutex. Counts are exact: cells are 64-bit atomics, so a concurrent
-//     scrape can observe a slightly stale but never torn value, and once
-//     writers quiesce the merged totals equal the updates issued
-//     (tests/obs_test.cpp hammers this from many threads);
+//     log₂-scale histograms. Each registered metric owns its cells — one
+//     64-bit atomic for a counter or gauge, kBuckets + 2 for a histogram —
+//     and a handle is a pointer to them, so an update is a relaxed
+//     fetch_add with no lock and no lookup, and a scrape (snapshot()) reads
+//     each metric's cells under the registry mutex. A concurrent scrape may
+//     see a slightly stale value but never a torn one, and once writers
+//     quiesce the totals equal the updates issued (tests/obs_test.cpp
+//     hammers this from many threads).
+//
+//     Cells are shared by every writing thread, which is cheap only because
+//     of one rule the instrument sites keep: a site updates the registry at
+//     most once per run, unit, commit or grow-miss. Per-slot and
+//     per-decision tallies accumulate in plain locals (sim::RunTelemetry,
+//     LocalHistogram) and are merged once per run;
 //
 //   * a structured SPAN/EVENT TRACER that appends one canonical-JSON line
 //     per event (util/json's deterministic dump — the same serializer the
@@ -75,9 +81,9 @@ enum class Kind { Counter, Gauge, Histogram };
 class Registry;
 class LocalHistogram;
 
-/// Monotone counter. Copyable value handle; inc() is lock-free (one relaxed
-/// fetch_add on the calling thread's shard cell) and a no-op while obs is
-/// disabled.
+/// Monotone counter. Copyable value handle holding the address of its
+/// entry-owned cell (stable for the process lifetime); inc() is one relaxed
+/// fetch_add, and a no-op while obs is disabled.
 class Counter {
  public:
   Counter() = default;
@@ -85,15 +91,13 @@ class Counter {
 
  private:
   friend class Registry;
-  Counter(Registry* reg, std::uint32_t slot) : reg_(reg), slot_(slot) {}
-  Registry* reg_ = nullptr;
-  std::uint32_t slot_ = 0;
+  explicit Counter(std::atomic<std::uint64_t>* cell) : cell_(cell) {}
+  std::atomic<std::uint64_t>* cell_ = nullptr;
 };
 
-/// Point-in-time value (queue depths, in-flight counts). Gauges are a
-/// single process-wide atomic, not sharded: set() must overwrite, and
-/// set/add sites are low-frequency by construction. The handle stores the
-/// entry-owned atomic's address, which is stable for the process lifetime.
+/// Point-in-time value (queue depths, in-flight counts): set() overwrites,
+/// add() adjusts. Like a counter, the handle holds the address of its
+/// entry-owned atomic.
 class Gauge {
  public:
   Gauge() = default;
@@ -110,8 +114,8 @@ class Gauge {
 /// (microseconds, slots, bytes). Bucket b>0 covers [2^(b-1), 2^b - 1];
 /// bucket 0 covers exactly {0}; the last bucket absorbs the tail. Two extra
 /// cells track count and sum, so exposition carries mean and Prometheus
-/// _sum/_count. observe() touches bucket+count+sum cells of the calling
-/// thread's shard — three relaxed fetch_adds, no lock.
+/// _sum/_count. observe() is three relaxed fetch_adds (bucket, count, sum)
+/// on the entry-owned cells, no lock.
 class Histogram {
  public:
   static constexpr int kBuckets = 40;
@@ -135,9 +139,8 @@ class Histogram {
 
  private:
   friend class Registry;
-  Histogram(Registry* reg, std::uint32_t base) : reg_(reg), base_(base) {}
-  Registry* reg_ = nullptr;
-  std::uint32_t base_ = 0;  ///< cells [base_, base_+kBuckets+2): buckets, count, sum
+  explicit Histogram(std::atomic<std::uint64_t>* cells) : cells_(cells) {}
+  std::atomic<std::uint64_t>* cells_ = nullptr;  ///< kBuckets buckets, count, sum
 };
 
 /// Plain single-thread histogram tally (no atomics, no registry): the
@@ -179,7 +182,7 @@ class ScopedTimer;
 
 // ------------------------------------------------------------- snapshots ----
 
-/// One metric instance, merged across shards at scrape time.
+/// One metric instance as read at scrape time.
 struct MetricSnapshot {
   std::string name;
   Labels labels;
@@ -213,7 +216,7 @@ struct Snapshot {
 class Registry {
  public:
   /// The process-wide registry (never destroyed: instrument-site static
-  /// handles and thread-exit shard releases may outlive main()).
+  /// handles may outlive main()).
   static Registry& instance();
 
   // Registration: idempotent by (name, labels); a kind mismatch on an
@@ -224,31 +227,24 @@ class Registry {
   Histogram histogram(std::string_view name, Labels labels = {});
   Gauge gauge(std::string_view name, Labels labels = {});
 
-  /// Merge every shard and gauge into a point-in-time snapshot. Concurrent
-  /// updates are never torn (64-bit atomic cells); totals are exact once
-  /// writers quiesce.
+  /// Read every metric into a point-in-time snapshot. Concurrent updates
+  /// are never torn (64-bit atomic cells); totals are exact once writers
+  /// quiesce.
   [[nodiscard]] Snapshot snapshot();
 
-  /// Zero every cell and gauge (tests and bench arms). The metric
+  /// Zero every metric's cells (tests and bench arms). The metric
   /// directory is preserved — handles stay valid. Callers are responsible
   /// for quiescing writers if they need the next scrape to be exact.
   void reset_values();
 
  private:
-  friend class Counter;
-  friend class Histogram;
-  friend class Gauge;
-
-  struct Shard;
   struct Entry;
 
   Registry();
   ~Registry() = delete;  // intentionally immortal
 
   Entry& entry_for(std::string_view name, Labels&& labels, Kind kind,
-                   std::uint32_t cells_needed);
-  Shard& local_shard();
-  std::atomic<std::uint64_t>& cell(std::uint32_t slot);
+                   std::size_t cells_needed);
 
   struct Impl;
   Impl* impl_;

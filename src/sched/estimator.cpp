@@ -15,8 +15,6 @@ namespace {
 constexpr std::size_t kMaxCachedSets = std::size_t{1} << 22;
 constexpr std::size_t kMaxMemoizedBuilds = std::size_t{1} << 20;
 
-using detail::mix64;  // shared with the inline front-cache fast paths
-
 /// Extend a cached scan of value(0), value(1), ... to `upto`: true when every
 /// consecutive pair up to there satisfies `ordered(prev, next)`. A NaN fails
 /// either order, so it ends the provable prefix. `settled(v)` marks a value
@@ -44,25 +42,25 @@ bool monotone_prefix(detail::MonotonePrefix& c, long upto, Value value,
 }
 }  // namespace
 
-markov::CoupledStats& Estimator::SetCache::lookup(std::uint64_t key, bool& fresh) {
-  if (table_.empty() || size_ * 2 >= table_.size()) grow();
+template <class Value, std::size_t Chunk, std::size_t LoadNum, std::size_t LoadDen>
+Value& detail::ProbeTable<Value, Chunk, LoadNum, LoadDen>::insert(std::uint64_t key) {
+  if (table_.empty() || size_ * LoadDen >= table_.size() * LoadNum) grow();
   const std::size_t mask = table_.size() - 1;
   std::size_t i = static_cast<std::size_t>(mix64(key)) & mask;
-  while (table_[i].slot >= 0 && table_[i].key != key) i = (i + 1) & mask;
-  auto& e = table_[i];
-  if (e.slot < 0) {
-    if (size_ % kChunk == 0) {
-      chunks_.push_back(std::make_unique<markov::CoupledStats[]>(kChunk));
-    }
-    e.key = key;
-    e.slot = static_cast<std::int32_t>(size_++);
-    fresh = true;
+  while (table_[i].slot >= 0) {
+    assert(table_[i].key != key && "ProbeTable::insert: key already present");
+    i = (i + 1) & mask;
   }
+  if (size_ % Chunk == 0) chunks_.push_back(std::make_unique<Value[]>(Chunk));
+  auto& e = table_[i];
+  e.key = key;
+  e.slot = static_cast<std::int32_t>(size_++);
   const auto slot = static_cast<std::size_t>(e.slot);
-  return chunks_[slot / kChunk][slot % kChunk];
+  return chunks_[slot / Chunk][slot % Chunk];
 }
 
-void Estimator::SetCache::grow() {
+template <class Value, std::size_t Chunk, std::size_t LoadNum, std::size_t LoadDen>
+void detail::ProbeTable<Value, Chunk, LoadNum, LoadDen>::grow() {
   std::vector<Entry> old = std::move(table_);
   table_.assign(old.empty() ? 1024 : old.size() * 2, Entry{});
   const std::size_t mask = table_.size() - 1;
@@ -74,75 +72,23 @@ void Estimator::SetCache::grow() {
   }
 }
 
-void Estimator::SetCache::evict() {
+template <class Value, std::size_t Chunk, std::size_t LoadNum, std::size_t LoadDen>
+void detail::ProbeTable<Value, Chunk, LoadNum, LoadDen>::evict() {
   // Epoch retirement: drop the index, but keep the current value chunks
   // alive for one more epoch (and only now free the PREVIOUS epoch's). A
   // reference returned before this call therefore dereferences unchanged
   // storage until the NEXT cap-triggered eviction — a full cap's worth of
   // insertions away — instead of dangling immediately, which was the
   // historical clear()-on-next-call hazard.
-  assert(size_ > 0 && "SetCache::evict: eviction with nothing inserted");
+  assert(size_ > 0 && "ProbeTable::evict: eviction with nothing inserted");
   table_.clear();
   retired_.clear();
   retired_.swap(chunks_);
   size_ = 0;
 }
 
-MemoizedBuild* Estimator::BuildMemo::find(std::uint64_t key) noexcept {
-  if (table_.empty()) return nullptr;
-  const std::size_t mask = table_.size() - 1;
-  std::size_t i = static_cast<std::size_t>(mix64(key)) & mask;
-  while (table_[i].slot >= 0) {
-    if (table_[i].key == key) {
-      const auto slot = static_cast<std::size_t>(table_[i].slot);
-      return &chunks_[slot / kChunk][slot % kChunk];
-    }
-    i = (i + 1) & mask;
-  }
-  return nullptr;
-}
-
-MemoizedBuild& Estimator::BuildMemo::insert(std::uint64_t key) {
-  // 3/4 max load: the memo reaches hundreds of thousands of entries, where
-  // the probe table's cache footprint costs more than the longer chains
-  // (unlike SetCache, whose table stays small enough to keep at 1/2).
-  if (table_.empty() || size_ * 4 >= table_.size() * 3) grow();
-  const std::size_t mask = table_.size() - 1;
-  std::size_t i = static_cast<std::size_t>(mix64(key)) & mask;
-  while (table_[i].slot >= 0) {
-    assert(table_[i].key != key && "BuildMemo::insert: key already present");
-    i = (i + 1) & mask;
-  }
-  if (size_ % kChunk == 0) {
-    chunks_.push_back(std::make_unique<MemoizedBuild[]>(kChunk));
-  }
-  auto& e = table_[i];
-  e.key = key;
-  e.slot = static_cast<std::int32_t>(size_++);
-  const auto slot = static_cast<std::size_t>(e.slot);
-  return chunks_[slot / kChunk][slot % kChunk];
-}
-
-void Estimator::BuildMemo::grow() {
-  std::vector<Entry> old = std::move(table_);
-  table_.assign(old.empty() ? 1024 : old.size() * 2, Entry{});
-  const std::size_t mask = table_.size() - 1;
-  for (const Entry& e : old) {
-    if (e.slot < 0) continue;
-    std::size_t i = static_cast<std::size_t>(mix64(e.key)) & mask;
-    while (table_[i].slot >= 0) i = (i + 1) & mask;
-    table_[i] = e;
-  }
-}
-
-void Estimator::BuildMemo::evict() {
-  // Same epoch-retirement contract as SetCache::evict().
-  assert(size_ > 0 && "BuildMemo::evict: eviction with nothing inserted");
-  table_.clear();
-  retired_.clear();
-  retired_.swap(chunks_);
-  size_ = 0;
-}
+template class detail::ProbeTable<markov::CoupledStats, 256, 1, 2>;
+template class detail::ProbeTable<MemoizedBuild, 64, 3, 4>;
 
 Estimator::Estimator(const platform::Platform& platform, const model::Application& app,
                      double eps, std::shared_ptr<markov::ChainStatsStore> store)
@@ -193,20 +139,17 @@ const markov::CoupledStats& Estimator::set_stats(std::span<const int> set) const
 
 const markov::CoupledStats& Estimator::set_stats_masked(
     std::uint64_t key, std::span<const int> set) const {
+  if (const markov::CoupledStats* hit = set_cache_.find(key)) return *hit;
   if (set_cache_.size() >= set_cap_) set_cache_.evict();
-  bool fresh = false;
-  markov::CoupledStats& stats = set_cache_.lookup(key, fresh);
-  if (fresh) {
-    // Resolve through the store by the sorted multiset of chain ids: on a
-    // homogeneous platform every k-subset of workers lands on the same
-    // store entry, and cells sharing chain content share the series math.
-    auto& ids = scratch_ids_;
-    ids.clear();
-    for (int q : set) ids.push_back(chain_of_[static_cast<std::size_t>(q)]);
-    std::sort(ids.begin(), ids.end());
-    stats = store_->set_stats(ids);
-  }
-  return stats;
+  // Resolve through the store by the sorted multiset of chain ids: on a
+  // homogeneous platform every k-subset of workers lands on the same store
+  // entry, and cells sharing chain content share the series math.
+  auto& ids = scratch_ids_;
+  ids.clear();
+  for (int q : set) ids.push_back(chain_of_[static_cast<std::size_t>(q)]);
+  std::sort(ids.begin(), ids.end());
+  markov::CoupledStats stats = store_->set_stats(ids);
+  return set_cache_.insert(key) = std::move(stats);
 }
 
 double Estimator::expected_comm_time(std::span<const CommNeed> needs) const {

@@ -104,10 +104,6 @@ JobCheckpoint::~JobCheckpoint() {
   if (units_fd_ >= 0) ::close(units_fd_);
 }
 
-bool JobCheckpoint::has_manifest() const {
-  return fs::exists(dir_ + "/manifest.json");
-}
-
 void JobCheckpoint::write_manifest(const std::string& manifest_json) {
   write_file_atomic(dir_, "manifest.json", manifest_json);
 }
@@ -218,8 +214,8 @@ JobCheckpoint::LoadedRows JobCheckpoint::load_rows(std::size_t trials) {
         const util::json::Value row = util::json::parse(line);
         const util::json::Value* sc = row.find("scenario");
         const util::json::Value* trial = row.find("trial");
-        if (sc != nullptr && trial != nullptr && sc->is_integer() &&
-            trial->is_integer() && trials > 0) {
+        if (sc != nullptr && trial != nullptr && sc->is_unsigned() &&
+            trial->is_unsigned() && trials > 0) {
           const std::size_t unit =
               static_cast<std::size_t>(sc->as_uint()) * trials +
               static_cast<std::size_t>(trial->as_uint());

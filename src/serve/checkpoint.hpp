@@ -40,9 +40,6 @@ class JobCheckpoint {
   JobCheckpoint(const JobCheckpoint&) = delete;
   JobCheckpoint& operator=(const JobCheckpoint&) = delete;
 
-  [[nodiscard]] const std::string& dir() const noexcept { return dir_; }
-  [[nodiscard]] bool has_manifest() const;
-
   /// Atomic write (manifest.json.tmp, fsync, rename, fsync dir).
   void write_manifest(const std::string& manifest_json);
   /// Throws std::runtime_error when absent/unreadable.

@@ -14,48 +14,6 @@ bool valid_identifier(std::string_view s) {
   return true;
 }
 
-std::string row_line(std::size_t scenario, int trial, std::size_t heuristic_index,
-                     const std::string& heuristic, const std::string& family,
-                     const platform::ScenarioParams& params,
-                     const sim::SimulationResult& r) {
-  // Hand-rolled append (no Value tree): rows are the hot emission path and
-  // their byte layout is a documented contract — keep it explicit.
-  std::string out;
-  out.reserve(192);
-  out += "{\"scenario\":";
-  out += std::to_string(scenario);
-  out += ",\"trial\":";
-  out += std::to_string(trial);
-  out += ",\"h\":";
-  out += std::to_string(heuristic_index);
-  out += ",\"heuristic\":";
-  json::append_quoted(heuristic, out);
-  out += ",\"family\":";
-  json::append_quoted(family, out);
-  out += ",\"m\":";
-  out += std::to_string(params.m);
-  out += ",\"ncom\":";
-  out += std::to_string(params.ncom);
-  out += ",\"wmin\":";
-  out += std::to_string(params.wmin);
-  out += ",\"scenario_seed\":";
-  out += std::to_string(params.seed);
-  out += ",\"success\":";
-  out += r.success ? "true" : "false";
-  out += ",\"makespan\":";
-  out += std::to_string(r.makespan);
-  out += ",\"iterations\":";
-  out += std::to_string(r.iterations_completed);
-  out += ",\"restarts\":";
-  out += std::to_string(r.total_restarts);
-  out += ",\"reconfigs\":";
-  out += std::to_string(r.total_reconfigurations);
-  out += ",\"idle_slots\":";
-  out += std::to_string(r.idle_slots);
-  out += "}";
-  return out;
-}
-
 std::string submit_request(std::string_view tenant, const json::Value& spec,
                            std::string_view job) {
   json::Object req{{"op", "submit"}, {"tenant", tenant}, {"spec", spec}};

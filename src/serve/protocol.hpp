@@ -31,12 +31,13 @@
 //      against the spec — and stream, per completed unit,
 //        {"ok":true,"type":"unit","unit":u,"rows":H}
 //      followed by exactly H raw result-row lines (row_line bytes, NOT
-//      JSON-escaped — identical bytes to what a local worker would commit),
-//      then one terminal {"ok":true,"type":"lease_done","units":N}. Every
-//      lease is self-contained: the spec is required ("spec: required"
-//      otherwise) and the shard keeps no per-connection state — resolving a
-//      spec takes microseconds against units that run for tens of
-//      milliseconds. A unit that fails to execute yields
+//      JSON-escaped — identical bytes to what a local worker would commit;
+//      H is the spec's heuristic count, and the coordinator treats any
+//      other header as broken framing), then one terminal
+//      {"ok":true,"type":"lease_done","units":N}. Every lease is
+//      self-contained: the spec is required ("spec: required" otherwise)
+//      and the shard keeps no per-connection state — resolving a spec
+//      takes microseconds against units that run for tens of milliseconds. A unit that fails to execute yields
 //      {"ok":false,"type":"unit_failed","unit":u,"error":...} and aborts
 //      the lease. The shard does NOT
 //      checkpoint lease units — durability lives in the coordinator's
@@ -45,11 +46,12 @@
 //
 // This header holds what both sides share: the identifier grammar, the
 // client-side request builders (used by the client CLI and the protocol
-// tests) and the deterministic result-row serialization. Row bytes are a
-// pure function of the row's coordinates and outcome — never of job id,
-// tenant, scheduling order or daemon lifetime — which is what makes the
-// checkpoint/resume guarantee testable: sort the union of streamed rows and
-// it is byte-identical to an uninterrupted run's.
+// tests) and, re-exported from api/sink.hpp, the deterministic result-row
+// serialization api::row_line. Row bytes are a pure function of the row's
+// coordinates and outcome — never of job id, tenant, scheduling order or
+// daemon lifetime — which is what makes the checkpoint/resume guarantee
+// testable: sort the union of streamed rows and it is byte-identical to an
+// uninterrupted run's.
 #pragma once
 
 #include <cstddef>
@@ -57,8 +59,7 @@
 #include <string_view>
 #include <vector>
 
-#include "platform/scenario.hpp"
-#include "sim/stats.hpp"
+#include "api/sink.hpp"
 #include "util/json.hpp"
 
 namespace tcgrid::serve {
@@ -68,14 +69,9 @@ namespace tcgrid::serve {
 /// surprises on the checkpoint root).
 [[nodiscard]] bool valid_identifier(std::string_view s);
 
-/// One completed (scenario, trial, heuristic) outcome as a JSONL line
-/// (no trailing newline). Fixed key order; deterministic bytes.
-[[nodiscard]] std::string row_line(std::size_t scenario, int trial,
-                                   std::size_t heuristic_index,
-                                   const std::string& heuristic,
-                                   const std::string& family,
-                                   const platform::ScenarioParams& params,
-                                   const sim::SimulationResult& result);
+/// The result-row serializer (api/sink.hpp): checkpoint rows, the wire
+/// and JsonlSink all write these bytes.
+using api::row_line;
 
 // --------------------------------------------------- client-side builders ----
 

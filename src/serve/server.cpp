@@ -316,6 +316,7 @@ Server::Lease Server::claim_locked(const std::shared_ptr<Job>& job, Tenant& tena
   lease.tenant = job->tenant;
   lease.spec_json = job->spec_json;
   lease.unit = unit;
+  lease.rows = job->heuristics.size();
   return lease;
 }
 
@@ -796,7 +797,7 @@ void Server::handle_results(const json::Value& req, util::LineChannel& ch) {
   }
   std::size_t from = 0;
   if (const json::Value* from_v = req.find("from"); from_v != nullptr) {
-    if (!from_v->is_integer()) {
+    if (!from_v->is_unsigned()) {
       ch.write_line(error_line("from: expected a non-negative integer"));
       return;
     }
@@ -935,7 +936,7 @@ void Server::handle_lease(const json::Value& req, util::LineChannel& ch) {
   std::vector<std::size_t> units;
   units.reserve(units_v->as_array().size());
   for (const json::Value& u : units_v->as_array()) {
-    if (!u.is_integer() || u.as_uint() >= plan.units_total) {
+    if (!u.is_unsigned() || u.as_uint() >= plan.units_total) {
       ch.write_line(error_line("units: unit id out of range for the lease spec"));
       return;
     }

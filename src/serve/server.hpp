@@ -162,6 +162,7 @@ class Server {
     /// attaches to every lease request (null on a plain daemon).
     std::shared_ptr<const std::string> spec_json;
     std::size_t unit = 0;
+    std::size_t rows = 0;  ///< rows the unit yields: one per heuristic
   };
 
   /// Block until a unit is dispatchable (round-robin fair across jobs) or

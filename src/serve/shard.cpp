@@ -193,7 +193,8 @@ void ShardFleet::monitor_loop(Shard& shard) {
         break;
       }
       std::size_t threads = 0;
-      if (const json::Value* t = reply.find("threads"); t != nullptr && t->is_integer()) {
+      if (const json::Value* t = reply.find("threads"); t != nullptr) {
+        if (!t->is_unsigned()) break;  // malformed reply
         threads = static_cast<std::size_t>(t->as_uint());
       }
       spawn_slots(shard, threads);
@@ -350,15 +351,17 @@ bool ShardFleet::lease_round(Shard& shard, util::LineChannel& ch) {
     if (kind == "unit") {
       const json::Value* unit_v = msg.find("unit");
       const json::Value* rows_v = msg.find("rows");
-      if (unit_v == nullptr || !unit_v->is_integer() || rows_v == nullptr ||
-          !rows_v->is_integer()) {
+      // Every unit of the batch yields head.rows rows; any other header is
+      // malformed, and is treated like broken framing.
+      if (unit_v == nullptr || !unit_v->is_unsigned() || rows_v == nullptr ||
+          !rows_v->is_unsigned() || rows_v->as_uint() != head.rows) {
         expire_unresolved();
         return false;
       }
       const std::size_t unit = static_cast<std::size_t>(unit_v->as_uint());
       std::vector<std::string> rows;
-      rows.reserve(static_cast<std::size_t>(rows_v->as_uint()));
-      for (std::size_t r = 0; r < rows_v->as_uint(); ++r) {
+      rows.reserve(head.rows);
+      for (std::size_t r = 0; r < head.rows; ++r) {
         std::string row;
         if (!ch.read_line(row)) {
           expire_unresolved();
@@ -394,7 +397,7 @@ bool ShardFleet::lease_round(Shard& shard, util::LineChannel& ch) {
     std::size_t failed = batch.size();
     if (kind == "unit_failed") {
       const json::Value* unit_v = msg.find("unit");
-      if (unit_v != nullptr && unit_v->is_integer()) {
+      if (unit_v != nullptr && unit_v->is_unsigned()) {
         failed = held(static_cast<std::size_t>(unit_v->as_uint()));
       }
       if (error.empty()) error = "unit failed on shard " + shard.address;

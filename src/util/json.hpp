@@ -65,6 +65,11 @@ class Value {
   [[nodiscard]] bool is_integer() const noexcept {
     return kind_ == Kind::Int || kind_ == Kind::Uint;
   }
+  /// An integer that as_uint() accepts: Uint, or an Int >= 0. Check this,
+  /// not is_integer(), before as_uint() on untrusted input.
+  [[nodiscard]] bool is_unsigned() const noexcept {
+    return kind_ == Kind::Uint || (kind_ == Kind::Int && int_ >= 0);
+  }
 
   // Typed accessors. Each throws std::invalid_argument on a kind mismatch
   // (callers wanting field-path error messages check kinds first — see

@@ -243,30 +243,39 @@ TEST(Sinks, CsvRoundTrip) {
 }
 
 TEST(Sinks, JsonlRoundTrip) {
+  // JsonlSink writes exactly row_line — the serve checkpoint and wire
+  // format — for every row, in consume order.
+  struct RowLines final : ResultSink {
+    std::vector<std::string> lines;
+    void consume(const ResultRow& row) override {
+      lines.push_back(row_line(row.scenario, row.trial, row.heuristic, *row.name,
+                               *row.family, *row.params, *row.result));
+    }
+  };
   const auto spec = mini_spec();
   std::ostringstream out;
   JsonlSink jsonl(out);
   AggregateSink aggregate;
-  Session().run(spec, {&jsonl, &aggregate});
+  RowLines expected;
+  Session().run(spec, {&jsonl, &aggregate, &expected});
 
   const auto& r = aggregate.results();
   std::istringstream in(out.str());
   std::string line;
   std::size_t rows = 0;
   while (std::getline(in, line)) {
-    EXPECT_EQ(line.front(), '{');
-    EXPECT_EQ(line.back(), '}');
-    EXPECT_NE(line.find("\"heuristic\":\""), std::string::npos);
-    EXPECT_NE(line.find("\"makespan\":"), std::string::npos);
+    ASSERT_LT(rows, expected.lines.size());
+    EXPECT_EQ(line, expected.lines[rows]);
     ++rows;
   }
   EXPECT_EQ(rows, 3u * 2u * 2u);
-  // Spot-check one value end-to-end.
-  const std::string expected = "\"heuristic\":\"IE\",\"family\":\"markov\","
-                               "\"m\":5,\"ncom\":5,\"wmin\":1,"
-                               "\"scenario_seed\":" +
-                               std::to_string(r.scenarios[0].seed) + ",\"trial\":0";
-  EXPECT_NE(out.str().find(expected), std::string::npos);
+  EXPECT_EQ(rows, expected.lines.size());
+  // Spot-check one value end-to-end: IE is heuristic 1.
+  const std::string spot = "{\"scenario\":0,\"trial\":0,\"h\":1,\"heuristic\":\"IE\","
+                           "\"family\":\"markov\",\"m\":5,\"ncom\":5,\"wmin\":1,"
+                           "\"scenario_seed\":" +
+                           std::to_string(r.scenarios[0].seed) + ",\"success\":";
+  EXPECT_NE(out.str().find(spot), std::string::npos);
 }
 
 TEST(Sinks, MultipleSinksSeeEveryRowOnce) {

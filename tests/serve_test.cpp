@@ -262,6 +262,14 @@ TEST(Serve, MalformedRequestsAndSpecsAreRejectedByName) {
   resp = client.roundtrip(R"({"op": "frobnicate"})");
   EXPECT_FALSE(is_ok(resp));
   EXPECT_NE(error_of(resp).find("frobnicate"), std::string::npos);
+
+  // A negative offset is an integer but not a valid one; it is named, and
+  // the connection stays usable.
+  resp = client.roundtrip(R"({"op": "results", "job": "nope", "from": -1})");
+  EXPECT_FALSE(is_ok(resp));
+  EXPECT_EQ(error_of(resp), "from: expected a non-negative integer");
+  resp = client.roundtrip(serve::status_request("nope"));
+  EXPECT_NE(error_of(resp).find("unknown job"), std::string::npos);
 }
 
 TEST(Serve, TenantQuotasEnforcedAndVisible) {

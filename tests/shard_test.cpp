@@ -361,10 +361,19 @@ TEST(Shard, StockServerSpeaksTheShardVerbs) {
   }
   EXPECT_EQ(job_dirs, std::vector<std::string>{"local"});
 
-  // Out-of-range unit ids are named at the wire.
+  // Out-of-range unit ids are named at the wire, negative ones included.
   resp = client.roundtrip(serve::lease_request("alice", {units}, spec_json));
   EXPECT_FALSE(is_ok(resp));
   EXPECT_NE(error_of(resp).find("out of range"), std::string::npos) << error_of(resp);
+  resp = client.roundtrip(json::dump(json::Object{{"op", "lease"},
+                                                  {"tenant", "alice"},
+                                                  {"units", json::Array{-1ll}},
+                                                  {"spec", json::parse(spec_json)}}));
+  EXPECT_FALSE(is_ok(resp));
+  EXPECT_NE(error_of(resp).find("units: unit id out of range"), std::string::npos)
+      << error_of(resp);
+  resp = client.roundtrip(serve::heartbeat_request());
+  EXPECT_TRUE(is_ok(resp)) << error_of(resp);
 }
 
 TEST(Shard, CoordinatorMergesByteIdenticalToSingleProcess) {
@@ -562,14 +571,32 @@ TEST(Shard, ShardFailureFailsTheJobAndReleasesEveryLease) {
   // A unit that fails on its shard, and a lease the shard rejects, each
   // fail the job with the shard's error. The rest of the batch goes back
   // to pending without counting as an expiry, and no lease stays charged
-  // to the shard or the tenant.
-  for (const bool reject : {false, true}) {
-    SCOPED_TRACE(reject ? "rejected lease" : "failed unit");
-    const std::string tag = reject ? "reject" : "unitfail";
+  // to the shard or the tenant. A malformed unit header (a negative unit
+  // id, or a row count the unit cannot have) is broken framing: the first
+  // batch expires and re-queues, and the re-leased batch then fails.
+  enum class Case { FailedUnit, Rejected, NegativeUnit, AbsurdRows };
+  for (const Case kase : {Case::FailedUnit, Case::Rejected, Case::NegativeUnit,
+                          Case::AbsurdRows}) {
+    const std::string tag = kase == Case::FailedUnit     ? "unitfail"
+                            : kase == Case::Rejected     ? "reject"
+                            : kase == Case::NegativeUnit ? "negunit"
+                                                         : "absurdrows";
+    SCOPED_TRACE(tag);
+    const bool reject = kase == Case::Rejected;
+    const bool malformed = kase == Case::NegativeUnit || kase == Case::AbsurdRows;
+    std::atomic<int> leases{0};
     FakeShard fake(fresh_root(tag + "_fake_sock") + ".sock", [&](const json::Value& req) {
       if (reject) return json::dump(json::Object{{"ok", false}, {"error", "spec: refused"}});
-      // Fail the LAST unit of the batch, so the others are still unresolved.
       const json::Value& last = req.find("units")->as_array().back();
+      if (malformed && leases.fetch_add(1) == 0) {
+        if (kase == Case::NegativeUnit) {
+          return json::dump(json::Object{
+              {"ok", true}, {"type", "unit"}, {"unit", -1ll}, {"rows", 2ull}});
+        }
+        return json::dump(json::Object{
+            {"ok", true}, {"type", "unit"}, {"unit", last.as_uint()}, {"rows", ~0ull}});
+      }
+      // Fail the LAST unit of the batch, so the others are still unresolved.
       return json::dump(json::Object{{"ok", false},
                                      {"type", "unit_failed"},
                                      {"unit", last.as_uint()},
@@ -594,8 +621,9 @@ TEST(Shard, ShardFailureFailsTheJobAndReleasesEveryLease) {
       std::this_thread::sleep_for(std::chrono::milliseconds(1));
     }
     const serve::ShardFleet::Counters c = fleet.counters();
-    EXPECT_EQ(c.leased_units, 2u);  // one scenario: 2 trials
-    EXPECT_EQ(c.redispatched_units, 0u);
+    // One scenario (2 trials) per batch; a malformed reply expires the first.
+    EXPECT_EQ(c.leased_units, malformed ? 4u : 2u);
+    EXPECT_EQ(c.redispatched_units, malformed ? 2u : 0u);
     EXPECT_EQ(c.duplicate_commits, 0u);
     const json::Value counters = client.roundtrip(serve::counters_request());
     ASSERT_TRUE(is_ok(counters)) << error_of(counters);
